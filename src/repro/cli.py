@@ -132,11 +132,7 @@ def cmd_analyze(args) -> int:
                               closed_form=args.closed_form,
                               closed_form_spec=cf_spec)
     spilled = " from a spilled trace" if trace_dir is not None else ""
-    if args.closed_form:
-        print(f"estimating {program.name} from its closed-form "
-              "derivation (no execution, no enumeration) ...",
-              file=sys.stderr)
-    elif args.engine == "static":
+    if args.engine == "static":
         print(f"estimating {program.name} analytically (no execution) ...",
               file=sys.stderr)
     elif args.shards > 1:
@@ -148,6 +144,13 @@ def cmd_analyze(args) -> int:
     session.run()
     if session.from_cache:
         print("(restored from analysis cache)", file=sys.stderr)
+    elif session.closedform_fallbacks == 0:
+        print("closed form served: evaluated its derivation "
+              "(no enumeration)", file=sys.stderr)
+    elif session.closedform_fallbacks is not None:
+        print(f"closed form refused: enumerated all "
+              f"{session.closedform_fallbacks} references",
+              file=sys.stderr)
     print(session.config)
     print()
     totals = {k: round(v) for k, v in session.totals().items()}
@@ -465,9 +468,6 @@ def cmd_measure(args) -> int:
         for name in SWEEP_VARIANTS:
             tasks.append(SweepTask(key=name, builder=build_variant,
                                    args=(name, params), mode="measure",
-                                   shards=args.shards,
-                                   trace_dir=args.trace_dir,
-                                   spill_mb=args.spill_mb,
                                    measure_kwargs={"name": name}))
     elif args.app == "gtc":
         params = GTCParams(micell=args.micell)
@@ -477,8 +477,7 @@ def cmd_measure(args) -> int:
             fused = ("pushi", "gcmotion") if variant.pushi_tiled else ()
             tasks.append(SweepTask(
                 key=variant.name, builder=build_gtc, args=(variant, params),
-                mode="measure", shards=args.shards,
-                trace_dir=args.trace_dir, spill_mb=args.spill_mb,
+                mode="measure",
                 measure_kwargs={"name": variant.name,
                                 "fused_routines": fused}))
     else:
@@ -525,15 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("L2", "L3", "TLB"),
                          help="level for the detailed reports")
     analyze.add_argument("--engine", default="fenwick",
-                         choices=("fenwick", "treap", "numpy", "static"),
+                         choices=("fenwick", "numpy", "static"),
                          help="reuse-distance engine (numpy = buffered "
                               "array path, results identical; static = "
                               "analytical estimate without executing "
                               "the program)")
     analyze.add_argument("--closed-form", action="store_true",
                          help="with --engine static: evaluate the "
-                              "cached closed-form derivation instead of "
-                              "enumerating (byte-identical state)")
+                              "cached closed-form derivation when the "
+                              "kernel closes, else enumerate "
+                              "(byte-identical state either way)")
     analyze.add_argument("--shards", type=int, default=1, metavar="K",
                          help="analyze the trace as K parallel time "
                               "shards (results are byte-identical to "
@@ -566,15 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--micell", type=int, default=6)
     meas.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for the variant sweep")
-    meas.add_argument("--shards", type=int, default=1, metavar="K",
-                      help="time shards per task (analyze-mode sweeps "
-                           "only; the measure pipeline warns and runs "
-                           "unsharded)")
-    meas.add_argument("--trace-dir", metavar="DIR",
-                      help="columnar trace-store directory (analyze-mode "
-                           "sweeps only; measure tasks ignore it)")
-    meas.add_argument("--spill-mb", type=float, default=None, metavar="MB",
-                      help="spill buffer bound for --trace-dir recordings")
 
     sweep = sub.add_parser("sweep", help="fault-tolerant analysis sweep")
     sweep.add_argument("app", choices=("sweep3d", "gtc"))
@@ -595,11 +586,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-memory buffer bound for trace-store "
                             "recordings (default 64)")
     sweep.add_argument("--engine", default="fenwick",
-                       choices=("fenwick", "treap", "numpy", "static"))
+                       choices=("fenwick", "numpy", "static"))
     sweep.add_argument("--closed-form", action="store_true",
                        help="with --engine static: derive the "
                             "closed-form profile once parent-side and "
-                            "evaluate it at every sweep size")
+                            "evaluate it at every sweep size (units "
+                            "enumerate when the kernel does not close)")
     sweep.add_argument("--cache-dir", metavar="DIR",
                        help="analysis cache directory (default: no cache)")
     sweep.add_argument("--retries", type=int, default=2, metavar="N",

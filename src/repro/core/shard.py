@@ -485,169 +485,6 @@ def _min_into(target: Dict, source: Dict) -> None:
             target[key] = clk
 
 
-def merge_shard_results(results: Sequence[ShardResult],
-                        granularities: Dict[str, int],
-                        total_accesses: int,
-                        strategy: str = "tree") -> Dict:
-    """Resolve the boundary sets and rebuild the sequential output.
-
-    Two strategies produce identical bytes:
-
-    * ``"linear"`` walks shards left to right, folding each into one
-      global last-touch table and Fenwick tree — O(K·F log F) serial
-      work for K shards of footprint F, because every shard's whole
-      last-touch table is folded into the single global tree;
-    * ``"tree"`` (default) merges *adjacent pairs* of partial results,
-      halving the count each round.  Each pair resolves the right node's
-      boundary set against only the left node's last-touch table, so a
-      block's marks are re-added once per *level* rather than once per
-      shard — O(F log F · log K) — and each round's pair merges are
-      independent (parallelizable).
-
-    In both, an unresolved access at global time t with previous global
-    touch t_prev resolves as
-
-    ``d = active_pre - prefix_pre(t_prev) + corr``
-
-    where the first two terms count blocks whose last pre-boundary touch
-    falls in (t_prev, t), and ``corr`` counts unresolved predecessors on
-    the same side of the boundary whose previous touch is older than
-    t_prev (or absent) — blocks touched in (t_prev, t) that the
-    pre-boundary marks can't show.  The carrying scope is a bisect over
-    the entry's *original shard's* seed entry clocks, clamped to the
-    seed depth live at the event (which is why unresolved entries travel
-    through tree levels in per-shard segments: the bisect needs the leaf
-    seeds however high the entry gets resolved).  Accesses with no prior
-    touch anywhere are the true cold misses, classified at the root.
-
-    Returns a ``ReuseAnalyzer.dump_state()``-format dict; pattern keys,
-    bins, and cold rids are inserted in global first-event-clock order,
-    reproducing the sequential dict order byte-for-byte — the ordering
-    is rebuilt from first-event clocks at the end, so it is independent
-    of merge shape.
-    """
-    if strategy not in ("tree", "linear"):
-        raise ValueError(f"unknown merge strategy {strategy!r}")
-    results = sorted(results, key=lambda r: r.index)
-    if strategy == "tree":
-        return _merge_tree(results, granularities, total_accesses)
-    return _merge_linear(results, granularities, total_accesses)
-
-
-def _merge_linear(results: Sequence[ShardResult],
-                  granularities: Dict[str, int],
-                  total_accesses: int) -> Dict:
-    """Left-to-right merge against one global table (reference path)."""
-    out_grans = []
-    for gi, (name, size) in enumerate(granularities.items()):
-        counts: Dict[tuple, Dict[int, int]] = {}
-        key_first: Dict[tuple, int] = {}
-        bin_first: Dict[tuple, int] = {}
-        cold_counts: Dict[int, int] = {}
-        cold_first: Dict[int, int] = {}
-        eng = NumpyFenwickEngine()
-        last: Dict[int, tuple] = {}
-        for res in results:
-            g = res.grans[gi]
-            for key, bins in g["raw"].items():
-                tgt = counts.get(key)
-                if tgt is None:
-                    counts[key] = dict(bins)
-                else:
-                    for b, c in bins.items():
-                        tgt[b] = tgt.get(b, 0) + c
-            _min_into(key_first, g["key_first"])
-            _min_into(bin_first, g["bin_first"])
-            u = g["unresolved"]
-            if not u:
-                continue
-            nu = len(u)
-            blocks = [e[0] for e in u]
-            prevs = [last.get(b) for b in blocks]
-            t_now = np.fromiter((e[1] for e in u), np.int64, nu)
-            tp = np.fromiter(
-                (p[0] if p is not None else 0 for p in prevs), np.int64, nu)
-            found = np.fromiter(
-                (p is not None for p in prevs), bool, nu)
-            qf = np.flatnonzero(found)
-            if qf.size:
-                pre = eng.bulk_prefix(tp[qf])
-                # Count-smaller over this shard's boundary set: earlier
-                # unresolved entries with an older (or absent) previous
-                # touch were touched in (t_prev, t) but are invisible to
-                # the pre-shard tree.  Ties cannot occur (last-touch
-                # times are unique; colds rank below every real time).
-                ord2 = np.argsort(tp, kind="stable")
-                ranks = np.empty(nu, dtype=np.int64)
-                ranks[ord2] = np.arange(nu, dtype=np.int64)
-                corr = _count_smaller_left(ranks, qf)
-                d = eng._active - pre + corr
-                bins_q = bin_of_array(d)
-                # Carrying scope: previous touch predates every locally
-                # pushed scope, so only the live seed prefix matters.
-                sd = np.fromiter((u[i][3] for i in qf.tolist()),
-                                 np.int64, qf.size)
-                fs = np.fromiter((u[i][4] for i in qf.tolist()),
-                                 np.int64, qf.size)
-                if res.seed_sids:
-                    seed_c = np.asarray(res.seed_clocks, dtype=np.int64)
-                    seed_s = np.asarray(res.seed_sids, dtype=np.int64)
-                    pos = np.minimum(
-                        np.searchsorted(seed_c, tp[qf], side="left"), sd)
-                    carry = np.where(pos > 0,
-                                     seed_s[np.maximum(pos, 1) - 1], fs)
-                else:
-                    carry = fs
-                srcs = [prevs[i][2] for i in qf.tolist()]
-                rids = [u[i][2] for i in qf.tolist()]
-                tq = t_now[qf]
-                for rid, src, car, b, t in zip(
-                        rids, srcs, carry.tolist(), bins_q.tolist(),
-                        tq.tolist()):
-                    key = (rid, src, car)
-                    bins = counts.get(key)
-                    if bins is None:
-                        counts[key] = {b: 1}
-                    else:
-                        bins[b] = bins.get(b, 0) + 1
-                    prev_clk = key_first.get(key)
-                    if prev_clk is None or t < prev_clk:
-                        key_first[key] = t
-                    kb = (key, b)
-                    prev_clk = bin_first.get(kb)
-                    if prev_clk is None or t < prev_clk:
-                        bin_first[kb] = t
-            q_cold = np.flatnonzero(~found)
-            for i in q_cold.tolist():
-                rid = u[i][2]
-                cold_counts[rid] = cold_counts.get(rid, 0) + 1
-                if rid not in cold_first:
-                    cold_first[rid] = u[i][1]
-            # Fold the shard into the global state: marks move to the
-            # shard's last-touch times, colds join the active set.
-            eng.ensure(int(res.end))
-            if qf.size:
-                eng.bulk_add(tp[qf], -1)
-            g_last = g["last"]
-            eng.bulk_add(np.fromiter((g_last[b][0] for b in blocks),
-                                     np.int64, nu), 1)
-            eng._active += nu - int(qf.size)
-            last.update(g_last)
-        raw_final = {
-            key: {b: counts[key][b]
-                  for b in sorted(counts[key],
-                                  key=lambda b2, _k=key: bin_first[(_k, b2)])}
-            for key in sorted(counts, key=key_first.get)
-        }
-        cold_final = {rid: cold_counts[rid]
-                      for rid in sorted(cold_counts, key=cold_first.get)}
-        out_grans.append({"name": name, "block_size": size,
-                          "raw": raw_final, "cold": cold_final,
-                          "blocks": len(last)})
-    return {"version": STATE_VERSION, "clock": total_accesses,
-            "grans": out_grans}
-
-
 @dataclass
 class _GranNode:
     """One granularity's partial merge state over a contiguous time span.
@@ -790,10 +627,41 @@ def _merge_pair(left: _GranNode, right: _GranNode) -> _GranNode:
     return left
 
 
-def _merge_tree(results: Sequence[ShardResult],
-                granularities: Dict[str, int],
-                total_accesses: int) -> Dict:
-    """Pairwise reduction of partial results (see merge_shard_results)."""
+def merge_shard_results(results: Sequence[ShardResult],
+                        granularities: Dict[str, int],
+                        total_accesses: int) -> Dict:
+    """Resolve the boundary sets and rebuild the sequential output.
+
+    Adjacent pairs of partial results merge, halving the count each
+    round.  Each pair resolves the right node's boundary set against
+    only the left node's last-touch table, so a block's marks are
+    re-added once per *level* rather than once per shard —
+    O(F log F · log K) for K shards of footprint F — and each round's
+    pair merges are independent (parallelizable).
+
+    An unresolved access at global time t with previous global touch
+    t_prev resolves as
+
+    ``d = active_pre - prefix_pre(t_prev) + corr``
+
+    where the first two terms count blocks whose last pre-boundary touch
+    falls in (t_prev, t), and ``corr`` counts unresolved predecessors on
+    the same side of the boundary whose previous touch is older than
+    t_prev (or absent) — blocks touched in (t_prev, t) that the
+    pre-boundary marks can't show.  The carrying scope is a bisect over
+    the entry's *original shard's* seed entry clocks, clamped to the
+    seed depth live at the event (which is why unresolved entries travel
+    through tree levels in per-shard segments: the bisect needs the leaf
+    seeds however high the entry gets resolved).  Accesses with no prior
+    touch anywhere are the true cold misses, classified at the root.
+
+    Returns a ``ReuseAnalyzer.dump_state()``-format dict; pattern keys,
+    bins, and cold rids are inserted in global first-event-clock order,
+    reproducing the sequential dict order byte-for-byte — the ordering
+    is rebuilt from first-event clocks at the end, so it is independent
+    of merge shape.
+    """
+    results = sorted(results, key=lambda r: r.index)
     pair_counter = _obs.counter("shard.merge_pairs")
     out_grans = []
     for gi, (name, size) in enumerate(granularities.items()):

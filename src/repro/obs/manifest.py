@@ -49,6 +49,9 @@ class RunManifest:
     #: {"from", "to", "error"} when the session degraded to the
     #: sequential fenwick path mid-run; None for a clean run
     fallback: Optional[Dict[str, str]] = None
+    #: references served by enumeration on a closed-form run (0 = the
+    #: closed form served); None when closed form was not requested
+    closedform_fallbacks: Optional[int] = None
     created: float = field(default_factory=time.time)
     version: int = MANIFEST_VERSION
 
@@ -73,6 +76,7 @@ class RunManifest:
             "phases": {k: round(v, 6) for k, v in self.phases.items()},
             "metrics": self.metrics,
             "fallback": dict(self.fallback) if self.fallback else None,
+            "closedform_fallbacks": self.closedform_fallbacks,
         }
 
     def to_json(self) -> str:
@@ -103,6 +107,7 @@ class RunManifest:
             phases=dict(data.get("phases", {})),
             metrics=data.get("metrics", {}),
             fallback=data.get("fallback") or None,
+            closedform_fallbacks=data.get("closedform_fallbacks"),
             created=data.get("created", 0.0),
             version=data.get("version", MANIFEST_VERSION),
         )
@@ -142,6 +147,12 @@ class RunManifest:
             lines.append(f"  FALLBACK: {self.fallback.get('from', '?')} "
                          f"-> {self.fallback.get('to', 'fenwick')} "
                          f"({self.fallback.get('error', '?')})")
+        if self.closedform_fallbacks == 0:
+            lines.append("  closed form: served")
+        elif self.closedform_fallbacks is not None:
+            lines.append(f"  closed form: enumerated "
+                         f"({self.closedform_fallbacks} reference "
+                         "fallbacks)")
         if self.phases:
             lines.append("")
             lines.append(f"  {'phase':<22}{'wall':>12}")

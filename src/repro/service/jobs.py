@@ -88,9 +88,9 @@ class JobSpec:
     #: state dir (required for shards > 1 jobs that want disk replay)
     use_trace_store: bool = False
     spill_mb: Optional[float] = None
-    #: evaluate the cached closed-form derivation instead of enumerating
-    #: (engine="static" only; byte-identical state, shared derivation
-    #: across jobs via the analysis cache)
+    #: evaluate the cached closed-form derivation when the kernel
+    #: closes, else enumerate (engine="static" only; byte-identical
+    #: state, one derivation shared across jobs via the analysis cache)
     closed_form: bool = False
     #: artifact kinds to publish (subset of ARTIFACT_KINDS)
     artifacts: Tuple[str, ...] = ("patterns", "manifest")
@@ -129,7 +129,7 @@ class JobSpec:
                 f"unknown params for {workload}: {', '.join(bad)} "
                 f"(known: {', '.join(sorted(defaults))})")
         engine = data.get("engine", "fenwick")
-        if engine not in ("fenwick", "treap", "numpy", "static"):
+        if engine not in ("fenwick", "numpy", "static"):
             raise SpecError(f"unknown engine {engine!r}")
         try:
             shards = int(data.get("shards", 1))

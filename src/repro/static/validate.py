@@ -91,7 +91,8 @@ class ValidationReport:
     #: closed-form state byte-identical to the enumerated static state;
     #: None when the closed-form path was not exercised
     closed_form_identical: Optional[bool] = None
-    #: references the closed-form evaluation spliced from enumeration
+    #: references the closed-form evaluation served by enumeration (all
+    #: of them when the derivation was refused; 0 when it closed)
     closed_form_fallbacks: int = 0
     #: wall seconds of the closed-form evaluation (0 when not exercised)
     closedform_s: float = 0.0

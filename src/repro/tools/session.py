@@ -82,7 +82,7 @@ class AnalysisSession:
         #: enumerating (engine="static" only); the synthesized state is
         #: byte-identical either way
         self.closed_form = bool(closed_form)
-        #: ``{"workload": name, "params": {...}}`` (optional ``free``,
+        #: ``{"workload": name, "params": {...}}`` (optional
         #: ``samples``) naming the registry workload and the resolved
         #: bounds this program was built with — built programs do not
         #: record their bounds, so closed-form evaluation needs them
@@ -91,6 +91,9 @@ class AnalysisSession:
         #: pre-built :class:`~repro.static.closedform.Derivation` (sweep
         #: parents derive once and ship it to every unit)
         self.derivation = derivation
+        #: references served by enumeration on a closed-form run: 0
+        #: when the closed form served, None when it was not requested
+        self.closedform_fallbacks: Optional[int] = None
         if engine == "static":
             # The static engine never produces an access stream: there is
             # nothing to simulate, shard, or spill.
@@ -241,20 +244,18 @@ class AnalysisSession:
         """
         from repro.static.profile import static_profile
         t0 = time.perf_counter()
-        state = None
-        if self.closed_form:
-            state = self._closed_form_state()
-        if state is not None:
-            phases["closedform_evaluate"] = time.perf_counter() - t0
-        else:
+        state = self._closed_form_state() if self.closed_form else None
+        if state is None:
             with _trace.span("static.estimate",
                              program=self.program.name) as esp:
                 state, self.stats = static_profile(
                     self.program, self.config.granularities(),
                     params=params)
                 esp.set(accesses=self.stats.accesses)
+        phase = ("closedform_evaluate" if self.closedform_fallbacks == 0
+                 else "static_estimate")
+        phases[phase] = time.perf_counter() - t0
         self.analyzer.load_state(state)
-        phases["static_estimate"] = time.perf_counter() - t0
         self._ran = True
         logger.info("%s estimated statically: %d accesses modelled",
                     self.program.name, self.stats.accesses)
@@ -271,9 +272,12 @@ class AnalysisSession:
         Resolves the derivation from :attr:`derivation` (shipped by a
         sweep parent), the in-process memo, or the analysis cache —
         deriving fresh only when all three miss.  Returns the state dict
-        (byte-identical to enumeration) and sets :attr:`stats`; returns
-        None when no derivation can be built, letting the enumerated
-        static path take over.
+        and sets :attr:`stats` and :attr:`closedform_fallbacks` (0 when
+        the closed form served; the reference count when the derivation
+        enumerated an out-of-hull bound).  Returns None when the
+        derivation is refused or cannot be built: the caller then
+        enumerates this session's program, and every reference counts
+        as a fallback.
         """
         from repro.static.closedform import (
             ClosedFormUnsupported, get_derivation,
@@ -281,6 +285,7 @@ class AnalysisSession:
         spec = self.closed_form_spec
         workload = spec["workload"]
         wl_params = dict(spec.get("params") or {})
+        self.closedform_fallbacks = len(self.program.refs)
         try:
             deriv = self.derivation
             if (deriv is not None and deriv.gran_spec
@@ -290,27 +295,29 @@ class AnalysisSession:
             if deriv is None:
                 with _trace.span("closedform.derive", workload=workload):
                     deriv = get_derivation(
-                        workload, wl_params, free=spec.get("free"),
+                        workload, wl_params,
                         granularities=self.config.granularities(),
                         samples=spec.get("samples"), cache=self.cache)
                 self.derivation = deriv
-            value = wl_params.get(deriv.free)
-            if value is None:
-                from repro.apps.registry import workload_params
-                value = workload_params(workload)[deriv.free]
-            value = int(value)
-            with _trace.span("closedform.evaluate", workload=workload,
-                             value=value) as esp:
-                state, self.stats, fallbacks = deriv.evaluate(
-                    value, extrapolate=bool(spec.get("extrapolate")))
-                esp.set(accesses=self.stats.accesses,
-                        fallbacks=fallbacks)
-            return state
         except (ClosedFormUnsupported, KeyError) as exc:
             logger.warning("%s: closed-form path unavailable (%s); "
                            "enumerating", self.program.name, exc)
-            _obs.counter("static.closedform_fallbacks").inc()
+            deriv = None
+        if deriv is None or not deriv.closed:
+            _obs.counter("static.closedform_fallbacks").inc(
+                self.closedform_fallbacks)
             return None
+        value = wl_params.get(deriv.free)
+        if value is None:
+            from repro.apps.registry import workload_params
+            value = workload_params(workload)[deriv.free]
+        with _trace.span("closedform.evaluate", workload=workload,
+                         value=int(value)) as esp:
+            state, stats, fallbacks = deriv.evaluate(int(value))
+            esp.set(accesses=stats.accesses, fallbacks=fallbacks)
+        self.closedform_fallbacks = fallbacks
+        self.stats = stats
+        return state
 
     def _degrade(self, exc: BaseException, params: Dict[str, int],
                  phases: Dict[str, float], key: Optional[str]) -> None:
@@ -447,6 +454,7 @@ class AnalysisSession:
             phases=phases,
             metrics=run_metrics,
             fallback=dict(self.fallback) if self.fallback else None,
+            closedform_fallbacks=self.closedform_fallbacks,
         )
 
     def _require_run(self) -> None:

@@ -81,13 +81,13 @@ class SweepTask:
     batch: bool = True
     #: time shards for analyze mode (1 = sequential).  In run_sweep a
     #: sharded task expands into per-shard pool units that share the
-    #: worker pool with other tasks; measure mode ignores it (the
+    #: worker pool with other tasks; measure mode rejects it (the
     #: simulator's LRU state is order-dependent).
     shards: int = 1
     #: directory for spilled columnar trace stores (analyze mode).  When
     #: set, the parent records each sharded task once into a store and
     #: every shard unit replays its mmap'd slice — no per-unit
-    #: re-recording; measure mode ignores it.
+    #: re-recording.
     trace_dir: Optional[str] = None
     #: in-memory spill buffer bound (MB) for the trace-store recording
     spill_mb: Optional[float] = None
@@ -95,10 +95,10 @@ class SweepTask:
     #: not by callers
     trace_path: Optional[str] = None
     #: closed-form spec ``{"workload": name, "params": {...}}`` (optional
-    #: ``free``/``samples``) for static analyze tasks.  run_sweep groups
-    #: tasks sharing a kernel shape, derives once parent-side (sampling
-    #: on the sweep's own sizes), and ships the derivation to each unit
-    #: under the ``"derivation"`` key of this dict.
+    #: ``samples``) for static analyze tasks.  run_sweep groups tasks
+    #: sharing a kernel shape, derives once parent-side (sampling on the
+    #: sweep's own sizes), and ships the derivation — closed or refused
+    #: — to each unit under the ``"derivation"`` key of this dict.
     closed_form: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -106,6 +106,9 @@ class SweepTask:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.shards > 1 and self.mode == "measure":
+            raise ValueError("measure mode cannot shard: the simulator's "
+                             "LRU state is order-dependent")
         if self.closed_form and (self.mode != "analyze"
                                  or self.engine != "static"):
             raise ValueError("closed_form requires mode='analyze' and "
@@ -875,27 +878,12 @@ def run_sweep(tasks: Sequence[SweepTask],
     # Sharded analyze tasks expand into per-shard units that share the
     # pool with whole-task units, so one huge trace no longer serializes
     # the sweep; the parent folds each group back into one outcome.
-    # Measure mode cannot shard (the simulator's LRU state is
-    # order-dependent): affected tasks run unsharded, reported once per
-    # sweep rather than once per task.
-    ignored_shards = [task.key for task in tasks
-                      if task.shards > 1 and task.mode == "measure"]
-    if ignored_shards:
-        shown = ", ".join(repr(k) for k in ignored_shards[:5])
-        if len(ignored_shards) > 5:
-            shown += f", ... ({len(ignored_shards)} total)"
-        logger.warning("shards ignored in measure mode for %d task(s) "
-                       "[%s]: the simulator's LRU state is "
-                       "order-dependent", len(ignored_shards), shown)
     specs: List[Tuple[str, SweepTask, int]] = []
     plan: List[Tuple[int, int]] = []
     for task in tasks:
-        shards = task.shards
-        if shards > 1 and task.mode == "measure":
-            shards = 1
-        plan.append((len(specs), shards))
-        if shards > 1:
-            specs.extend(("shard", task, si) for si in range(shards))
+        plan.append((len(specs), task.shards))
+        if task.shards > 1:
+            specs.extend(("shard", task, si) for si in range(task.shards))
         else:
             specs.append(("task", task, 0))
 
@@ -960,17 +948,19 @@ def run_sweep(tasks: Sequence[SweepTask],
     # Parent-side closed-form derivation: static tasks that request
     # closed_form and share one kernel shape derive ONCE here — sampled
     # on the sweep's own sizes, so every task's bound is a verified hull
-    # member — and the derivation ships to each unit.  Like the trace
-    # rewrite above, this patches specs after digests were taken, so
-    # checkpoints stay valid.  A failed derivation leaves its group
-    # untouched: units derive (or enumerate) on their own side.
+    # member — and the derivation ships to each unit.  A refused
+    # derivation ships too, so units enumerate without re-deriving.
+    # Like the trace rewrite above, this patches specs after digests
+    # were taken, so checkpoints stay valid.  A derivation that raises
+    # leaves its group untouched: units derive (or enumerate) on their
+    # own side.
     cf_groups: Dict[Tuple, List[int]] = {}
     for ti, task in enumerate(tasks):
         spec = task.closed_form
         if not spec or "derivation" in spec or "workload" not in spec:
             continue
         from repro.static.closedform import PRIMARY_FREE
-        free = spec.get("free") or PRIMARY_FREE.get(spec["workload"])
+        free = PRIMARY_FREE.get(spec["workload"])
         if free is None or free not in (spec.get("params") or {}):
             continue
         fixed = tuple(sorted((k, v) for k, v in spec["params"].items()

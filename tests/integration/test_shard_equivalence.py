@@ -274,18 +274,16 @@ class TestSweepIntegration:
         assert out.error is None
         assert pickle.dumps(out.state) == ref
 
-    def test_measure_mode_ignores_shards(self, caplog):
+    def test_measure_mode_rejects_shards(self):
+        """The simulator's LRU state is order-dependent: a sharded
+        measure task is refused at construction, not run unsharded."""
         from repro.apps.sweep3d import build_variant
-        from repro.tools.sweep import SweepTask, run_sweep
+        from repro.tools.sweep import SweepTask
         params = SweepParams(n=5, mm=3, nm=2, noct=1)
-        task = SweepTask(key="orig", builder=build_variant,
-                         args=("original", params), mode="measure",
-                         shards=2, measure_kwargs={"name": "orig"})
-        with caplog.at_level("WARNING", logger="repro.tools.sweep"):
-            (out,) = run_sweep([task], jobs=1)
-        assert out.error is None
-        assert out.shards == 1
-        assert "ignored in measure mode" in caplog.text
+        with pytest.raises(ValueError, match="measure mode cannot shard"):
+            SweepTask(key="orig", builder=build_variant,
+                      args=("original", params), mode="measure",
+                      shards=2, measure_kwargs={"name": "orig"})
 
     def test_manifest_rows_carry_engine_and_shards(self):
         from repro.tools.sweep import (

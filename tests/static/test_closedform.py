@@ -4,9 +4,10 @@ The contract under test (mod:`repro.static.closedform`): a Derivation
 is fitted ONCE per kernel shape from a small lattice of enumerated
 static profiles, and then evaluating it at ANY bounds must synthesize a
 state byte-identical (``pickle.dumps`` equality — dict order included)
-to ``static_profile`` at those bounds.  That must hold on every path:
-pure closed form, per-reference fallback (spliced from one enumerated
-run), and global fallback — the paths may differ in cost, never in
+to ``static_profile`` at those bounds.  A derivation is all-or-nothing:
+either every cell verified (``closed``) and evaluation substitutes into
+the fitted polynomials, or it was refused and evaluation enumerates.
+That must hold on both paths — they may differ in cost, never in
 bytes.
 """
 
@@ -22,7 +23,7 @@ from repro.obs import metrics as _obs
 from repro.static.closedform import (
     ClosedFormUnsupported, Derivation, _eval_poly, _fit_poly, _int_eval,
     _int_poly, clear_memo, default_samples, derivation_key, derive,
-    force_fallback, get_derivation,
+    get_derivation,
 )
 from repro.static.profile import static_profile
 
@@ -105,8 +106,8 @@ class TestTriadPureClosedForm:
 
     def test_derivation_is_total(self):
         d = derive("triad", {"n": 256, "steps": 2})
-        assert not d.fallback_rids
-        assert not d.global_fallback
+        assert d.closed
+        assert d.atom_tables and d.stats_polys
         assert d.free == "n" and d.fixed["steps"] == 2
 
     def test_byte_identity_across_lattice(self):
@@ -120,8 +121,8 @@ class TestTriadPureClosedForm:
 
     def test_byte_identity_at_randomized_bounds(self):
         """Any in-hull bound — on-lattice or off — must match the
-        enumerated profile byte-for-byte; off-lattice values may take
-        the (counted) fallback path but never change the answer."""
+        enumerated profile byte-for-byte; off-lattice values may
+        enumerate (counted) but never change the answer."""
         d = derive("triad", {"n": 512, "steps": 2})
         rng = random.Random(3)
         lo, hi = d.domain
@@ -135,9 +136,10 @@ class TestTriadPureClosedForm:
         d = derive("triad", {"n": 256, "steps": 2})
         beyond = d.xs[-1] * 2
         ref, _ = _reference("triad", n=beyond, steps=2)
-        # without extrapolate: full enumeration fallback, still identical
+        # without extrapolate: enumerates every reference, still identical
         state, _stats, n_fb = d.evaluate(beyond)
-        assert pickle.dumps(state) == ref and n_fb >= 1
+        assert pickle.dumps(state) == ref
+        assert n_fb == len(build_workload("triad", n=beyond, steps=2).refs)
         # with extrapolate: triad's polynomials are globally exact
         state, _stats, n_fb = d.evaluate(beyond, extrapolate=True)
         assert pickle.dumps(state) == ref and n_fb == 0
@@ -149,15 +151,19 @@ class TestTriadPureClosedForm:
     ("gtc", "micell", {}, range(1, 8), (3, 6)),
 ], ids=["sweep3d", "cg", "gtc"])
 class TestWorkloadEquivalence:
-    """Irregular workloads may lean on per-reference or global fallback
-    (their atom structure genuinely varies with the bound) — the
-    degradation is counted, and the bytes still must not move."""
+    """Irregular workloads do not close (their atom structure genuinely
+    varies with the bound): the derivation is refused, every reference
+    of every evaluation is counted as a fallback, and the bytes still
+    must not move."""
 
     def test_byte_identity_with_counted_fallback(self, workload, free,
                                                  params, samples, values,
                                                  obs_on):
         d = derive(workload, dict(params), free=free,
                    samples=list(samples))
+        assert not d.closed
+        assert not (d.atom_tables or d.cold_tables or d.blocks_polys
+                    or d.stats_polys or d.stats_dict_polys)
         for v in values:
             ref, ref_stats = _reference(workload,
                                         **{**params, free: v})
@@ -166,29 +172,9 @@ class TestWorkloadEquivalence:
             after = _obs.counter("static.closedform_fallbacks").value
             assert pickle.dumps(state) == ref
             assert vars(stats) == vars(ref_stats)
+            program = build_workload(workload, **{**params, free: v})
+            assert n_fb == len(program.refs)
             assert after - before == n_fb
-
-
-class TestForcedFallback:
-    def test_forced_rids_splice_identically(self, obs_on):
-        d = derive("triad", {"n": 256, "steps": 2})
-        n = d.xs[2]
-        ref, ref_stats = _reference("triad", n=n, steps=2)
-        for rids in ([0], [1, 4], list(range(6))):
-            forced = force_fallback(d, rids)
-            before = _obs.counter("static.closedform_fallbacks").value
-            state, stats, n_fb = forced.evaluate(n)
-            assert pickle.dumps(state) == ref
-            assert vars(stats) == vars(ref_stats)
-            assert n_fb >= len(rids)
-            assert _obs.counter(
-                "static.closedform_fallbacks").value - before == n_fb
-
-    def test_force_fallback_is_a_copy(self):
-        d = derive("triad", {"n": 256, "steps": 2})
-        forced = force_fallback(d, [0])
-        assert not d.fallback_rids
-        assert 0 in forced.fallback_rids
 
 
 class TestDerivationCache:
@@ -225,6 +211,20 @@ class TestDerivationCache:
         state, _stats, n_fb = d3.evaluate(n)
         assert pickle.dumps(state) == ref and n_fb == 0
 
+    def test_refused_derivation_caches_like_any_other(self, tmp_path,
+                                                      obs_on):
+        from repro.tools.cache import AnalysisCache
+        cache = AnalysisCache(str(tmp_path))
+        d1 = get_derivation("fig1", {}, cache=cache)
+        assert not d1.closed
+        clear_memo()
+        d2 = get_derivation("fig1", {}, cache=cache)
+        assert _obs.counter("static.closedform_derives").value == 1
+        assert not d2.closed and d2.shape_key == d1.shape_key
+        ref, _ = _reference("fig1", n=d2.xs[1])
+        state, _stats, n_fb = d2.evaluate(d2.xs[1])
+        assert pickle.dumps(state) == ref and n_fb > 0
+
     def test_pickle_roundtrip_preserves_evaluation(self):
         d = derive("triad", {"n": 256, "steps": 2})
         d.evaluate(d.xs[0])  # compile the fast tables pre-pickle
@@ -237,20 +237,42 @@ class TestDerivationCache:
 
 
 class TestSessionAndSweep:
-    def test_session_closed_form_state_matches_static(self):
-        from repro.apps.kernels import stream_triad
+    @pytest.mark.parametrize("workload,params,closed", [
+        ("triad", {"n": 128, "steps": 2}, True),
+        ("sweep3d", {"mesh": 4}, False),
+    ], ids=["triad", "sweep3d"])
+    def test_session_closed_form_state_matches_static(self, workload,
+                                                      params, closed):
+        """The session records the path that actually ran: the
+        closed-form phase only when the closed form served, the static
+        estimate (and every reference as a fallback) when the refused
+        derivation left it to enumerate."""
+        from repro.obs.manifest import RunManifest
         from repro.tools import AnalysisSession
-        plain = AnalysisSession(stream_triad(128, 2), config=CFG,
-                                engine="static").run()
+        plain = AnalysisSession(build_workload(workload, **params),
+                                config=CFG, engine="static").run()
+        program = build_workload(workload, **params)
         cf = AnalysisSession(
-            stream_triad(128, 2), config=CFG, engine="static",
-            closed_form=True,
-            closed_form_spec={"workload": "triad",
-                              "params": {"n": 128, "steps": 2}}).run()
+            program, config=CFG, engine="static", closed_form=True,
+            closed_form_spec={"workload": workload,
+                              "params": dict(params)}).run()
         assert pickle.dumps(cf.analyzer.dump_state()) \
             == pickle.dumps(plain.analyzer.dump_state())
         assert cf.totals() == plain.totals()
-        assert "closedform_evaluate" in cf.manifest.phases
+        assert cf.derivation.closed is closed
+        phases = cf.manifest.phases
+        if closed:
+            assert "closedform_evaluate" in phases
+            assert "static_estimate" not in phases
+            assert cf.manifest.closedform_fallbacks == 0
+            assert "closed form: served" in cf.manifest.render()
+        else:
+            assert "static_estimate" in phases
+            assert "closedform_evaluate" not in phases
+            assert cf.manifest.closedform_fallbacks == len(program.refs)
+        restored = RunManifest.from_dict(cf.manifest.to_dict())
+        assert restored.closedform_fallbacks \
+            == cf.manifest.closedform_fallbacks
 
     def test_session_closed_form_requires_static_engine(self):
         from repro.apps.kernels import stream_triad
@@ -278,6 +300,35 @@ class TestSessionAndSweep:
             assert out.error is None
             ref, _ = _reference("triad", n=n, steps=2)
             assert pickle.dumps(out.state) == ref
+
+        # Sweep3D refuses: the parent still derives once and ships the
+        # refused verdict; units enumerate without re-deriving (worker
+        # counters merge back, so a unit-side derive would show here)
+        meshes = (4, 6)
+        tasks = [SweepTask(key=m, builder=build_workload,
+                           args=("sweep3d",), kwargs={"mesh": m},
+                           engine="static",
+                           closed_form={"workload": "sweep3d",
+                                        "params": {"mesh": m}})
+                 for m in meshes]
+        derives = _obs.counter("static.closedform_derives").value
+        outcomes = run_sweep(tasks, jobs=2)
+        assert _obs.counter("static.closedform_derives").value \
+            == derives + 1
+        for out, m in zip(outcomes, meshes):
+            assert out.error is None
+            ref, _ = _reference("sweep3d", mesh=m)
+            assert pickle.dumps(out.state) == ref
+        # the parent's derivation — the one it shipped — from the memo
+        shipped = get_derivation(
+            "sweep3d", {"mesh": 6},
+            samples=default_samples("sweep3d", "mesh", meshes))
+        assert _obs.counter("static.closedform_derives").value \
+            == derives + 1
+        assert not shipped.closed
+        assert not (shipped.atom_tables or shipped.cold_tables
+                    or shipped.blocks_polys or shipped.stats_polys
+                    or shipped.stats_dict_polys)
 
     def test_sweep_task_rejects_closed_form_off_static(self):
         from repro.apps.kernels import stream_triad
@@ -311,7 +362,7 @@ class TestScalingSeed:
 class TestFullBoundsMatrix:
     """Nightly (--runslow): byte-identity over a randomized bounds
     matrix across all four paper workloads — every in-hull bound, on-
-    or off-lattice, pure or fallback, must reproduce the enumerated
+    or off-lattice, closed or refused, must reproduce the enumerated
     static profile byte-for-byte."""
 
     MATRIX = [

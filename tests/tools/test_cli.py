@@ -37,6 +37,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "sweep3d", "--shards", "2"],
+        ["measure", "sweep3d", "--trace-dir", "d"],
+        ["measure", "sweep3d", "--spill-mb", "1"],
+        ["analyze", "fig1", "--engine", "treap"],
+        ["sweep", "sweep3d", "--engine", "treap"],
+    ])
+    def test_retired_options_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
+class TestClosedFormStatus:
+    @pytest.mark.parametrize("argv,line", [
+        (["analyze", "triad"], "closed form served"),
+        (["analyze", "sweep3d", "--mesh", "4"],
+         "closed form refused: enumerated all 34 references"),
+    ], ids=["triad", "sweep3d"])
+    def test_status_reports_the_path_that_ran(self, argv, line, capsys):
+        assert main(argv + ["--engine", "static", "--closed-form",
+                            "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        assert line in err
+        assert "no execution, no enumeration" not in err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -280,22 +280,6 @@ class TestEngineFallback:
         assert clean.fallback is None
 
 
-class TestMeasureShardWarningDedupe:
-    def test_single_warning_for_many_tasks(self, caplog):
-        tasks = [SweepTask(key=f"m{n}", builder=build_original,
-                           args=(SweepParams(n=n, mm=3, nm=2, noct=1),),
-                           mode="measure", shards=3,
-                           measure_kwargs={"name": f"m{n}"})
-                 for n in (4, 5)]
-        with caplog.at_level("WARNING", logger="repro.tools.sweep"):
-            outcomes = run_sweep(tasks)
-        warnings = [r for r in caplog.records
-                    if "ignored in measure mode" in r.getMessage()]
-        assert len(warnings) == 1
-        assert "'m4'" in warnings[0].getMessage()
-        assert all(not out.failed for out in outcomes)
-
-
 class TestStructuredOutcomeFields:
     def test_failure_rows_render_kind_retries_duration(self):
         faults.install(FaultSpec(point="sweep.unit", action="raise",
