@@ -578,9 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--shards", type=int, default=1, metavar="K",
                        help="time shards per task")
     sweep.add_argument("--trace-dir", metavar="DIR",
-                       help="record each sharded task once into a "
-                            "columnar trace store under DIR; shard "
-                            "units replay it via mmap")
+                       help="record each task once into a columnar "
+                            "trace store under DIR; its shards replay "
+                            "it via mmap")
     sweep.add_argument("--spill-mb", type=float, default=None,
                        metavar="MB",
                        help="in-memory buffer bound for trace-store "

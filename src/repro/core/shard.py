@@ -46,10 +46,10 @@ O(K * F log F), while the O(N) analysis fans out across workers.
 from __future__ import annotations
 
 import logging
-import multiprocessing
+import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.core.npengine import (
 )
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
+from repro.testing import faults as _faults
 
 logger = logging.getLogger("repro.core.shard")
 
@@ -707,18 +708,26 @@ def merge_shard_results(results: Sequence[ShardResult],
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _init_shard_worker(obs_enabled: bool, log_level) -> None:
-    """Pool initializer: propagate parent state, arm clean termination."""
+def _init_shard_worker(obs_enabled: bool, log_level,
+                       fault_specs: Tuple = ()) -> None:
+    """Pool initializer: propagate parent state, arm clean termination.
+
+    Like the sweep's initializer, it passes on the active fault specs so
+    ``spawn``/``forkserver`` workers inject identically.
+    """
     from repro.tools.resilience import install_term_handler
     _obs.set_enabled(obs_enabled)
     if log_level is not None:
         logging.getLogger("repro").setLevel(log_level)
+    if fault_specs:
+        _faults.set_specs(fault_specs)
     install_term_handler()
 
 
 def _run_shard(args) -> ShardResult:
     """Worker body: one shard, metered under a scoped registry."""
     sl, granularities = args
+    _faults.fire("shard.worker", index=sl.index)
     if not _obs.is_enabled():
         return analyze_shard(sl, granularities)
     with _obs.scoped() as reg:
@@ -734,33 +743,72 @@ def _run_shard(args) -> ShardResult:
 
 def run_shards(slices: Sequence[ShardSlice],
                granularities: Dict[str, int],
-               jobs: Optional[int] = None) -> List[ShardResult]:
+               jobs: Optional[int] = None,
+               on_result: Optional[Callable[[ShardResult], None]] = None
+               ) -> List[ShardResult]:
     """Analyze every shard, inline or across a process pool.
 
-    ``jobs=None`` picks ``min(len(slices), cpu_count)``.  Worker metric
-    snapshots are merged back into the parent registry (and stay on each
-    :class:`ShardResult` for manifests).
+    ``jobs=None`` picks ``min(len(slices), cpu_count)``.  Results come
+    back in slice order; ``on_result`` sees each one as soon as its shard
+    finishes, so a caller can keep the finished partials of a run that
+    later fails.  Worker metric snapshots are merged back into the parent
+    registry (and stay on each :class:`ShardResult` for manifests).
+
+    A worker that dies mid-shard raises ``BrokenProcessPool`` here instead
+    of hanging the caller; :class:`~repro.tools.session.AnalysisSession`
+    turns that into a counted fenwick fallback.  Any exception that
+    reaches the wait — a dead worker, a SIGALRM deadline, a SIGTERM
+    ``SystemExit`` — kills the pool's workers before it propagates, so a
+    hung shard never outlives its caller.
     """
     slices = list(slices)
     if jobs is None:
-        jobs = min(len(slices), multiprocessing.cpu_count() or 1)
+        jobs = min(len(slices), os.cpu_count() or 1)
     payload = [(sl, dict(granularities)) for sl in slices]
+    results: List[Optional[ShardResult]] = [None] * len(payload)
     if jobs <= 1 or len(slices) <= 1:
-        results = [_run_shard(p) for p in payload]
+        for n, p in enumerate(payload):
+            results[n] = _run_shard(p)
+            if on_result is not None:
+                on_result(results[n])
     else:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(min(jobs, len(slices)),
-                      initializer=_init_shard_worker,
-                      initargs=(_obs.is_enabled(),
-                                logging.getLogger("repro").level or None)
-                      ) as pool:
-            results = pool.map(_run_shard, payload, chunksize=1)
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(slices)),
+            initializer=_init_shard_worker,
+            initargs=(_obs.is_enabled(),
+                      logging.getLogger("repro").level or None,
+                      _faults.active_specs()))
+        try:
+            futures = {pool.submit(_run_shard, p): n
+                       for n, p in enumerate(payload)}
+            for fut in as_completed(futures):
+                results[futures[fut]] = fut.result()
+                if on_result is not None:
+                    on_result(results[futures[fut]])
+        except BaseException:
+            _kill_pool(pool)
+            raise
+        pool.shutdown()
     if _obs.is_enabled():
         registry = _obs.registry()
         for res in results:
             if res.metrics:
                 registry.merge(res.metrics)
     return results
+
+
+def _kill_pool(pool) -> None:
+    """Tear a process pool down without waiting for its running tasks.
+
+    ``shutdown()`` alone waits for busy workers.  Shard workers only read
+    their slice and write nothing, so there is no stack worth unwinding:
+    they are SIGKILLed, and the executor's own management thread, which
+    sees them die, reaps them before ``shutdown`` returns.
+    """
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        proc.kill()
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 def analyze_trace_sharded(trace: RecordedTrace,

@@ -16,9 +16,9 @@ so concurrent workers cannot double-fire a slot.  Without a marker the
 count is process-local (fine for inline jobs=1 runs).
 
 Specs installed in the parent are inherited by ``fork``-started pool
-workers automatically; the sweep driver additionally ships the active
-spec list through its pool initializer so ``spawn``/``forkserver``
-start methods inject identically.
+workers automatically; the sweep driver and the shard pool additionally
+ship the active spec list through their pool initializers so
+``spawn``/``forkserver`` start methods inject identically.
 
 Example — kill the worker running unit key 8, once::
 
@@ -68,7 +68,8 @@ class FaultSpec:
     """One injected failure: where, what, when, and how many times.
 
     ``point``
-        Failure-point name (``"sweep.unit"``, ``"cache.get"``).
+        Failure-point name (``"sweep.unit"``, ``"shard.worker"``,
+        ``"cache.get"``).
     ``action``
         ``"crash"`` (``os._exit(70)`` — the worker dies without
         unwinding, like a segfault or OOM kill), ``"raise"`` (raise

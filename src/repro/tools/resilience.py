@@ -51,8 +51,8 @@ from repro.obs import metrics as _obs
 
 logger = logging.getLogger("repro.tools.resilience")
 
-#: Bump when the checkpoint journal layout changes.
-CHECKPOINT_VERSION = 1
+#: Bump when the checkpoint journal layout or the unit digest changes.
+CHECKPOINT_VERSION = 2
 
 
 class DeadlineExceeded(Exception):
@@ -330,7 +330,7 @@ class SweepCheckpoint:
     """Durable journal of completed sweep units + payload store.
 
     Layout: the journal at ``path`` is JSONL — a header line
-    ``{"kind": "sweep-checkpoint", "version": 1}`` followed by one line
+    ``{"kind": "sweep-checkpoint", "version": 2}`` followed by one line
     per completed unit: ``{"unit": <digest>, "spec": <human label>,
     "payload": <ref>}``.  Payloads (pickled unit results) are
     *content-addressed* by the sha256 of their bytes, which bounds
@@ -370,19 +370,22 @@ class SweepCheckpoint:
         #: load()/record() scans the file.
         self._lines: Optional[int] = None
         self._live: Optional[Dict[str, str]] = None
+        #: the journal on disk carries another version's header; the
+        #: next record() starts it over instead of appending to it
+        self._foreign = False
 
     # -- unit digests ----------------------------------------------------
 
     @staticmethod
-    def unit_digest(task: Any, kind: str, index: int) -> str:
-        """Content address of one pool unit of a sweep.
+    def unit_digest(task: Any) -> str:
+        """Content address of one sweep task (one pool unit).
 
         Hashes the *recipe*, not the program (rebuilding the program
         just to hash it would cost as much as the analysis it guards):
         builder module/qualname, args/kwargs reprs, mode, engine, miss
-        model, params, config repr, shard geometry, and the unit kind
-        and index.  Any edit to the sweep definition changes the digest
-        and the stale journal entry is ignored.
+        model, params, config repr and shard count.  Any edit to the
+        sweep definition changes the digest and the stale journal entry
+        is ignored.
         """
         builder = task.builder
         h = hashlib.sha256()
@@ -395,7 +398,6 @@ class SweepCheckpoint:
             sorted(task.params.items()),
             sorted(task.measure_kwargs.items()),
             repr(task.config), task.batch, task.shards,
-            kind, index,
         )).encode())
         return h.hexdigest()
 
@@ -405,7 +407,8 @@ class SweepCheckpoint:
         """Digest -> payload filename for every intact journal line."""
         done: Dict[str, str] = {}
         self._lines = 0
-        self._live = done
+        self._live = {}
+        self._foreign = False
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
@@ -427,8 +430,8 @@ class SweepCheckpoint:
                     logger.warning(
                         "checkpoint %s: version %r != %d; ignoring",
                         self.path, row.get("version"), CHECKPOINT_VERSION)
-                    self._lines = None
-                    self._live = None
+                    self._foreign = True
+                    self._lines = 0
                     return {}
                 continue
             unit, payload = row.get("unit"), row.get("payload")
@@ -488,8 +491,12 @@ class SweepCheckpoint:
         journal line is appended with ``O_APPEND`` (atomic for single
         short writes on POSIX) and optionally fsynced, so concurrent
         readers and a post-crash resume always see a prefix of intact
-        lines.
+        lines.  A journal written under another :data:`CHECKPOINT_VERSION`
+        is started over rather than appended to, since its header would
+        hide every line recorded after it.
         """
+        if self._live is None:
+            self.load()
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         content = hashlib.sha256(data).hexdigest()
         if self.cache is not None:
@@ -521,8 +528,8 @@ class SweepCheckpoint:
                         pass
                     raise
         line = json.dumps({"unit": digest, "spec": spec, "payload": ref})
-        new = not os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        new = self._foreign or not os.path.exists(self.path)
+        with open(self.path, "w" if new else "a", encoding="utf-8") as fh:
             if new:
                 fh.write(json.dumps({"kind": "sweep-checkpoint",
                                      "version": CHECKPOINT_VERSION}) + "\n")
@@ -530,11 +537,9 @@ class SweepCheckpoint:
             if self.fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
-        if self._lines is None or self._live is None:
-            self.load()
-        else:
-            self._lines += 1
-            self._live[digest] = ref
+        self._foreign = False
+        self._lines += 1
+        self._live[digest] = ref
         self._maybe_compact()
 
     # -- compaction ------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.obs.manifest import RunManifest
 from repro.testing import faults as _faults
-from repro.tools.resilience import WorkerFailure
+from repro.tools.resilience import DeadlineExceeded, WorkerFailure
 from repro.sim.hierarchy import HierarchySim
 from repro.static.fragmentation import FragmentationAnalysis
 from repro.static.related import StaticAnalysis
@@ -177,32 +177,44 @@ class AnalysisSession:
                 self.analyzer.load_state(payload["analyzer_state"])
                 self.stats = payload["stats"]
                 self.from_cache = True
-                self._ran = True
                 logger.info("%s restored from analysis cache",
                             self.program.name)
                 sp.set(from_cache=True)
             else:
+                state = None
                 try:
                     _faults.fire("session.run", program=self.program.name,
                                  engine=self.engine, shards=self.shards)
                     if self.engine == "static":
-                        self._run_static(params, phases, key)
+                        state = self._run_static(params, phases)
                     elif self.shards > 1 or self.trace_store is not None:
-                        self._run_sharded(params, phases, key)
+                        state = self._run_sharded(params, phases)
                     else:
-                        self._run_sequential(params, phases, key)
+                        self._run_sequential(params, phases)
                 except Exception as exc:
-                    if (self.engine == "fenwick" and self.shards == 1
+                    # an overrun deadline is the caller's verdict, not an
+                    # engine failure: a fallback would only run longer
+                    if isinstance(exc, DeadlineExceeded) or (
+                            self.engine == "fenwick" and self.shards == 1
                             and self.trace_store is None):
                         raise
-                    self._degrade(exc, params, phases, key)
+                    self._degrade(exc, params, phases)
+                if key is not None:
+                    t0 = time.perf_counter()
+                    with _trace.span("cache.store"):
+                        self.cache.put(key, {
+                            "analyzer_state": (
+                                state if state is not None
+                                else self.analyzer.dump_state()),
+                            "stats": self.stats})
+                    phases["cache_store"] = time.perf_counter() - t0
+            self._ran = True
             sp.set(accesses=self.stats.accesses)
         self._build_manifest(params, phases, obs_before)
         return self
 
     def _run_sequential(self, params: Dict[str, int],
-                        phases: Dict[str, float],
-                        key: Optional[str]) -> None:
+                        phases: Dict[str, float]) -> None:
         handlers = [self.analyzer]
         if self.sim is not None:
             handlers.append(self.sim)
@@ -214,21 +226,11 @@ class AnalysisSession:
             self.stats = executor.run(**params)
             esp.set(accesses=self.stats.accesses)
         phases["execute"] = time.perf_counter() - t0
-        self._ran = True
         logger.info("%s executed: %d accesses",
                     self.program.name, self.stats.accesses)
-        if key is not None:
-            t0 = time.perf_counter()
-            with _trace.span("cache.store"):
-                self.cache.put(
-                    key, {"analyzer_state":
-                          self.analyzer.dump_state(),
-                          "stats": self.stats})
-            phases["cache_store"] = time.perf_counter() - t0
 
     def _run_static(self, params: Dict[str, int],
-                    phases: Dict[str, float],
-                    key: Optional[str]) -> None:
+                    phases: Dict[str, float]) -> Dict:
         """Predict the pattern databases analytically — no execution.
 
         :func:`repro.static.profile.static_profile` enumerates the
@@ -256,15 +258,9 @@ class AnalysisSession:
                  else "static_estimate")
         phases[phase] = time.perf_counter() - t0
         self.analyzer.load_state(state)
-        self._ran = True
         logger.info("%s estimated statically: %d accesses modelled",
                     self.program.name, self.stats.accesses)
-        if key is not None:
-            t0 = time.perf_counter()
-            with _trace.span("cache.store"):
-                self.cache.put(key, {"analyzer_state": state,
-                                     "stats": self.stats})
-            phases["cache_store"] = time.perf_counter() - t0
+        return state
 
     def _closed_form_state(self) -> Optional[Dict]:
         """Evaluate the closed-form derivation for this session's bounds.
@@ -320,7 +316,7 @@ class AnalysisSession:
         return state
 
     def _degrade(self, exc: BaseException, params: Dict[str, int],
-                 phases: Dict[str, float], key: Optional[str]) -> None:
+                 phases: Dict[str, float]) -> None:
         """Fall back to the sequential fenwick reference path.
 
         Called when an accelerated path (numpy engine, sharded pipeline)
@@ -350,11 +346,11 @@ class AnalysisSession:
         self.stats = None
         t0 = time.perf_counter()
         with _trace.span("session.fallback", source=came_from):
-            self._run_sequential(params, phases, key)
+            self._run_sequential(params, phases)
         phases["fallback"] = time.perf_counter() - t0
 
     def _run_sharded(self, params: Dict[str, int],
-                     phases: Dict[str, float], key: Optional[str]) -> None:
+                     phases: Dict[str, float]) -> Dict:
         """Record once, analyze K time shards, merge byte-identically.
 
         The merged state matches a sequential run of any engine exactly,
@@ -404,30 +400,28 @@ class AnalysisSession:
                 shard_keys[sl.index] = skey
                 results[sl.index] = self.cache.get(skey)
         todo = [sl for sl in slices if results[sl.index] is None]
+
+        def keep(res) -> None:
+            # cached as each shard finishes, so a run that fails later
+            # (dead worker, deadline) leaves its finished partials behind
+            results[res.index] = res
+            skey = shard_keys[res.index]
+            if skey is not None:
+                metrics, res.metrics = res.metrics, None
+                self.cache.put(skey, res)
+                res.metrics = metrics
+
         if todo:
-            for sl, res in zip(todo,
-                               run_shards(todo, grans, jobs=self.shard_jobs)):
-                results[sl.index] = res
-                skey = shard_keys[sl.index]
-                if skey is not None:
-                    metrics, res.metrics = res.metrics, None
-                    self.cache.put(skey, res)
-                    res.metrics = metrics
+            run_shards(todo, grans, jobs=self.shard_jobs, on_result=keep)
         phases["shard_analyze"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         with _trace.span("shard.merge", shards=len(results)):
             state = merge_shard_results(results, grans, trace.accesses)
         self.analyzer.load_state(state)
         phases["shard_merge"] = time.perf_counter() - t0
-        self._ran = True
         logger.info("%s analyzed across %d shards: %d accesses",
                     self.program.name, len(results), self.stats.accesses)
-        if key is not None:
-            t0 = time.perf_counter()
-            with _trace.span("cache.store"):
-                self.cache.put(key, {"analyzer_state": state,
-                                     "stats": self.stats})
-            phases["cache_store"] = time.perf_counter() - t0
+        return state
 
     def _build_manifest(self, params: Dict[str, int],
                         phases: Dict[str, float], obs_before) -> None:

@@ -79,21 +79,17 @@ class SweepTask:
     #: cache directory for analyze mode; None disables caching
     cache_dir: Optional[str] = None
     batch: bool = True
-    #: time shards for analyze mode (1 = sequential).  In run_sweep a
-    #: sharded task expands into per-shard pool units that share the
-    #: worker pool with other tasks; measure mode rejects it (the
+    #: time shards for analyze mode (1 = sequential).  The task stays one
+    #: pool unit whose session runs its own shard pool, exactly as
+    #: ``repro analyze --shards`` does; measure mode rejects it (the
     #: simulator's LRU state is order-dependent).
     shards: int = 1
-    #: directory for spilled columnar trace stores (analyze mode).  When
-    #: set, the parent records each sharded task once into a store and
-    #: every shard unit replays its mmap'd slice — no per-unit
-    #: re-recording.
+    #: directory for spilled columnar trace stores (analyze mode): the
+    #: unit's session records once into a store and its shards replay
+    #: mmap'd slices of it
     trace_dir: Optional[str] = None
     #: in-memory spill buffer bound (MB) for the trace-store recording
     spill_mb: Optional[float] = None
-    #: resolved store path; set by run_sweep after the parent records,
-    #: not by callers
-    trace_path: Optional[str] = None
     #: closed-form spec ``{"workload": name, "params": {...}}`` (optional
     #: ``samples``) for static analyze tasks.  run_sweep groups tasks
     #: sharing a kernel shape, derives once parent-side (sampling on the
@@ -171,8 +167,13 @@ class SweepOutcome:
         return self.analyzer().db(granularity)
 
 
-def _execute_task(task: SweepTask) -> SweepOutcome:
-    """Rebuild the program and run one pipeline point."""
+def _execute_task(task: SweepTask,
+                  shard_jobs: Optional[int] = None) -> SweepOutcome:
+    """Rebuild the program and run one pipeline point.
+
+    ``shard_jobs`` caps a sharded task's shard pool (``None``: the
+    session's own ``min(shards, cpu_count)``).
+    """
     program = task.builder(*task.args, **task.kwargs)
     if task.mode == "measure":
         from repro.apps.harness import measure
@@ -185,16 +186,12 @@ def _execute_task(task: SweepTask) -> SweepOutcome:
     from repro.tools.cache import AnalysisCache
     from repro.tools.session import AnalysisSession
     cache = AnalysisCache(task.cache_dir) if task.cache_dir else None
-    # shard_jobs=1: when a sharded task reaches this path directly, its
-    # shards run sequentially — pool workers are daemonic and may not
-    # spawn children.  run_sweep instead expands sharded tasks into
-    # per-shard pool units before they get here.
     cf_spec = dict(task.closed_form or {})
     derivation = cf_spec.pop("derivation", None)
     session = AnalysisSession(program, config=task.config,
                               miss_model=task.miss_model, engine=task.engine,
                               cache=cache, batch=task.batch,
-                              shards=task.shards, shard_jobs=1,
+                              shards=task.shards, shard_jobs=shard_jobs,
                               trace_store=task.trace_dir,
                               spill_mb=task.spill_mb,
                               closed_form=bool(task.closed_form),
@@ -210,7 +207,8 @@ def _execute_task(task: SweepTask) -> SweepOutcome:
 
 
 def _task_attempt(task: SweepTask, attempt: int,
-                  policy: Optional[RetryPolicy]) -> SweepOutcome:
+                  policy: Optional[RetryPolicy],
+                  shard_jobs: Optional[int] = None) -> SweepOutcome:
     """One fault-isolated attempt at a whole task.
 
     A raising builder or pipeline must not poison the pool: the exception
@@ -226,9 +224,8 @@ def _task_attempt(task: SweepTask, attempt: int,
     t0 = time.perf_counter()
     try:
         with deadline(policy.timeout if policy else None):
-            _faults.fire("sweep.unit", key=task.key, unit="task", index=0,
-                         attempt=attempt)
-            outcome = _execute_task(task)
+            _faults.fire("sweep.unit", key=task.key, attempt=attempt)
+            outcome = _execute_task(task, shard_jobs)
         outcome.retries = attempt
         outcome.duration = time.perf_counter() - t0
         return outcome
@@ -237,13 +234,12 @@ def _task_attempt(task: SweepTask, attempt: int,
             exc, retries=attempt, duration=time.perf_counter() - t0)
         logger.warning("sweep task %r failed (attempt %d, %s): %s",
                        task.key, attempt, failure.kind, failure.summary)
-        return SweepOutcome(key=task.key, mode=task.mode,
-                            engine=task.engine, shards=task.shards
-                            ).set_failure(failure)
+        return _failed_outcome(task, failure)
 
 
 def _run_task(task: SweepTask, attempt: int = 0,
-              policy: Optional[RetryPolicy] = None) -> SweepOutcome:
+              policy: Optional[RetryPolicy] = None,
+              shard_jobs: Optional[int] = None) -> SweepOutcome:
     """Worker body: one task attempt, metered when observability is on.
 
     With observability on, the attempt runs under a scoped registry
@@ -251,248 +247,32 @@ def _run_task(task: SweepTask, attempt: int = 0,
     parent to merge.
     """
     if not _obs.is_enabled():
-        return _task_attempt(task, attempt, policy)
+        return _task_attempt(task, attempt, policy, shard_jobs)
     with _obs.scoped() as reg:
         reg.counter("sweep.tasks").inc()
         t0 = time.perf_counter()
-        outcome = _task_attempt(task, attempt, policy)
+        outcome = _task_attempt(task, attempt, policy, shard_jobs)
         reg.timer("sweep.task_latency").observe(time.perf_counter() - t0)
         outcome.metrics = reg.snapshot()
     return outcome
 
 
-@dataclass
-class _ShardUnit:
-    """Plain-data result of one shard pool unit of a sharded task."""
-
-    #: ShardResult, or None when the requested index was clamped away
-    #: (more shards than accesses)
-    result: Any = None
-    #: recording RunStats; carried by the index-0 unit only
-    stats: Any = None
-    from_cache: bool = False
-    #: structured failure record; None on success
-    failure: Optional[WorkerFailure] = None
-    retries: int = 0
-    duration: float = 0.0
-    metrics: Optional[Dict[str, Any]] = None
-
-    @property
-    def error(self) -> Optional[str]:
-        return self.failure.render() if self.failure is not None else None
+def _failed_outcome(task: SweepTask,
+                    failure: WorkerFailure) -> SweepOutcome:
+    """Terminal outcome of a task that did not produce a result."""
+    return SweepOutcome(key=task.key, mode=task.mode, engine=task.engine,
+                        shards=task.shards).set_failure(failure)
 
 
-def _execute_stored_shard_unit(task: SweepTask, si: int) -> _ShardUnit:
-    """Analyze shard ``si`` of a task whose trace the parent spilled.
-
-    The zero-copy fan-out path: the unit opens the parent-recorded
-    columnar store read-only, computes its slice as file-offset ranges
-    (an O(nops) scan of the ops column, no side-table I/O), and replays
-    only its own range off the mmap — no program rebuild, no
-    re-recording, no pickled op lists.  Partials are cached under the
-    trace's content digest, so *any* task recording identical bytes
-    shares them.
-    """
-    from repro.core.shard import analyze_shard, split_trace
-    from repro.core.tracestore import load_trace
-    from repro.tools.cache import AnalysisCache
-    stored = load_trace(task.trace_path)
-    config = task.config or MachineConfig.scaled_itanium2()
-    cache = AnalysisCache(task.cache_dir) if task.cache_dir else None
-    key = None
-    if cache is not None:
-        key = cache.trace_shard_key_for(stored.digest, config,
-                                        task.shards, si)
-        payload = cache.get(key)
-        if payload is not None:
-            return _ShardUnit(result=payload["result"], from_cache=True)
-    slices = split_trace(stored, task.shards)
-    result = None
-    if si < len(slices):
-        with _trace.span("shard.analyze", index=si,
-                         accesses=slices[si].length):
-            result = analyze_shard(slices[si], config.granularities())
-    unit = _ShardUnit(result=result)
-    if key is not None:
-        cache.put(key, {"result": result})
-    return unit
-
-
-def _execute_shard_unit(task: SweepTask, si: int) -> _ShardUnit:
-    """Analyze shard ``si`` of a sharded analyze task.
-
-    Each unit re-records the trace on its side of the fork (recording is
-    the cheap O(ops) part; Programs are not picklable, so the trace
-    cannot ship from the parent) and analyzes only its own slice.  With a
-    cache attached the partial is stored under a shard-count-scoped key,
-    so a repeat sweep skips both the recording and the analysis.  Tasks
-    the parent already recorded into a trace store skip all of that and
-    replay their mmap'd slice instead.
-    """
-    if task.trace_path is not None:
-        return _execute_stored_shard_unit(task, si)
-    from repro.core.shard import analyze_shard, record_trace, split_trace
-    from repro.tools.cache import AnalysisCache
-    program = task.builder(*task.args, **task.kwargs)
-    config = task.config or MachineConfig.scaled_itanium2()
-    cache = AnalysisCache(task.cache_dir) if task.cache_dir else None
-    key = None
-    if cache is not None:
-        key = cache.shard_key_for(program, task.params, config,
-                                  task.miss_model, task.shards, si)
-        payload = cache.get(key)
-        if payload is not None:
-            return _ShardUnit(result=payload["result"],
-                              stats=payload["stats"], from_cache=True)
-    trace, stats = record_trace(program, batch=task.batch, **task.params)
-    slices = split_trace(trace, task.shards)
-    result = None
-    if si < len(slices):
-        with _trace.span("shard.analyze", index=si,
-                         accesses=slices[si].length):
-            result = analyze_shard(slices[si], config.granularities())
-    unit = _ShardUnit(result=result, stats=stats if si == 0 else None)
-    if key is not None:
-        cache.put(key, {"result": result, "stats": unit.stats})
-    return unit
-
-
-def _shard_attempt(task: SweepTask, si: int, attempt: int,
-                   policy: Optional[RetryPolicy]) -> _ShardUnit:
-    """One fault-isolated attempt at a shard unit (see _task_attempt)."""
-    t0 = time.perf_counter()
-    try:
-        with deadline(policy.timeout if policy else None):
-            _faults.fire("sweep.unit", key=task.key, unit="shard",
-                         index=si, attempt=attempt)
-            unit = _execute_shard_unit(task, si)
-        unit.retries = attempt
-        unit.duration = time.perf_counter() - t0
-        return unit
-    except Exception as exc:
-        failure = WorkerFailure.from_exception(
-            exc, retries=attempt, duration=time.perf_counter() - t0)
-        logger.warning("sweep task %r shard %d failed (attempt %d, %s): "
-                       "%s", task.key, si, attempt, failure.kind,
-                       failure.summary)
-        return _ShardUnit(failure=failure, retries=attempt,
-                          duration=failure.duration)
-
-
-def _run_shard_unit(task: SweepTask, si: int, attempt: int = 0,
-                    policy: Optional[RetryPolicy] = None) -> _ShardUnit:
-    """Worker body for one shard unit: fault-isolated and metered."""
-    if not _obs.is_enabled():
-        return _shard_attempt(task, si, attempt, policy)
-    with _obs.scoped() as reg:
-        reg.counter("shard.workers").inc()
-        t0 = time.perf_counter()
-        unit = _shard_attempt(task, si, attempt, policy)
-        reg.timer("shard.worker_latency").observe(time.perf_counter() - t0)
-        unit.metrics = reg.snapshot()
-    return unit
-
-
-def _run_unit(spec: Tuple[str, SweepTask, int], attempt: int = 0,
-              policy: Optional[RetryPolicy] = None):
-    """Pool entry point: a whole task, or one shard of a sharded task."""
-    kind, task, si = spec
-    if kind == "task":
-        return _run_task(task, attempt, policy)
-    return _run_shard_unit(task, si, attempt, policy)
-
-
-def _unit_failure(result: Any) -> Optional[WorkerFailure]:
-    """The structured failure of a unit result, or None on success."""
-    if isinstance(result, SweepOutcome):
-        if result.error is None:
-            return None
-        return WorkerFailure(kind=result.error_kind or "fatal",
-                             exc_type=result.error.split(":", 1)[0],
-                             message=result.error.splitlines()[0],
-                             traceback=result.error,
-                             retries=result.retries,
-                             duration=result.duration)
-    return result.failure
-
-
-def _poison_result(spec: Tuple[str, SweepTask, int],
-                   attempt: int) -> Any:
-    """Terminal outcome for a unit whose worker died past its retries."""
-    kind, task, si = spec
-    failure = WorkerFailure(
-        kind=FailureKind.POISON.value, exc_type="BrokenProcessPool",
-        message="worker process exited abruptly "
-                "(crash, OOM kill, or hard signal)",
-        traceback="BrokenProcessPool: worker process exited abruptly\n",
-        retries=attempt)
-    if kind == "task":
-        return SweepOutcome(key=task.key, mode=task.mode,
-                            engine=task.engine, shards=task.shards
-                            ).set_failure(failure)
-    return _ShardUnit(failure=failure, retries=attempt)
-
-
-def _merge_sharded_task(task: SweepTask, units: Sequence[_ShardUnit],
-                        stats: Any = None) -> SweepOutcome:
-    """Fold a sharded task's units into one ordinary SweepOutcome.
-
-    Runs in the parent: merges the boundary sets, predicts totals from
-    the merged state, and writes the merged state through to the plain
-    analysis cache key — so a later *sequential* run of the same point
-    is a cache hit too (the merge is byte-identical).  ``stats`` is the
-    parent-side recording's RunStats for trace-store tasks, whose units
-    never record and so never carry one.
-    """
-    merged = _obs.MetricsRegistry()
-    have_metrics = False
-    for unit in units:
-        if unit.metrics:
-            merged.merge(unit.metrics)
-            have_metrics = True
-    outcome = SweepOutcome(key=task.key, mode="analyze",
-                           engine=task.engine, shards=task.shards,
-                           retries=max((u.retries for u in units),
-                                       default=0),
-                           duration=sum(u.duration for u in units),
-                           metrics=merged.snapshot() if have_metrics
-                           else None)
-    failures = [u.failure for u in units if u.failure is not None]
-    if failures:
-        outcome.set_failure(failures[0])
-        outcome.retries = max(u.retries for u in units)
-        return outcome
-    try:
-        from repro.core.analyzer import ReuseAnalyzer
-        from repro.core.shard import merge_shard_results
-        from repro.model.predictor import predict
-        from repro.tools.cache import AnalysisCache
-        config = task.config or MachineConfig.scaled_itanium2()
-        results = [u.result for u in units if u.result is not None]
-        total = int(results[-1].end) if results else 0
-        with _trace.span("shard.merge", shards=len(results)):
-            state = merge_shard_results(results, config.granularities(),
-                                        total)
-        program = task.builder(*task.args, **task.kwargs)
-        prediction = predict(ReuseAnalyzer.from_state(state), config,
-                             program, model=task.miss_model)
-        outcome.totals = prediction.totals()
-        outcome.state = state
-        outcome.stats = (units[0].stats if units[0].stats is not None
-                         else stats)
-        outcome.from_cache = all(u.from_cache for u in units)
-        if task.cache_dir:
-            cache = AnalysisCache(task.cache_dir)
-            key = cache.key_for(program, task.params, config,
-                                task.miss_model, task.engine)
-            if key not in cache:
-                cache.put(key, {"analyzer_state": state,
-                                "stats": outcome.stats})
-    except Exception as exc:
-        logger.warning("sweep task %r shard merge failed: %s: %s",
-                       task.key, type(exc).__name__, exc)
-        outcome.set_failure(WorkerFailure.from_exception(exc))
-    return outcome
+def _unit_failure(out: SweepOutcome) -> Optional[WorkerFailure]:
+    """The structured failure of an outcome, or None on success."""
+    if out.error is None:
+        return None
+    return WorkerFailure(kind=out.error_kind or "fatal",
+                         exc_type=out.error.split(":", 1)[0],
+                         message=out.error.splitlines()[0],
+                         traceback=out.error, retries=out.retries,
+                         duration=out.duration)
 
 
 def _init_worker(obs_enabled: bool, log_level: Optional[int],
@@ -523,7 +303,14 @@ def default_jobs(limit: int = 8) -> int:
 # ---------------------------------------------------------------------------
 
 class _UnitScheduler:
-    """Retry-aware execution of pool units, inline or across processes.
+    """Retry-aware execution of sweep tasks, inline or across processes.
+
+    Every task is one unit: a sharded task's session runs its own shard
+    pool inside the unit (pool workers are not daemonic, so they may
+    start children).  In the pool path the CPUs are split between the
+    sweep workers: each unit's shard pool gets ``cpu_count // workers``
+    processes, and a unit that gets one analyzes its shards in-process,
+    so at most ``max(jobs, cpu_count)`` processes analyze at once.
 
     The pool path replaces the old ``Pool.map`` with an incremental
     submit/complete loop over a ``ProcessPoolExecutor`` so that three
@@ -547,16 +334,16 @@ class _UnitScheduler:
     timeout.
     """
 
-    def __init__(self, specs: Sequence[Tuple[str, SweepTask, int]],
+    def __init__(self, tasks: Sequence[SweepTask],
                  policy: RetryPolicy,
-                 on_done: Optional[Callable[[int, Any], None]] = None
-                 ) -> None:
-        self.specs = list(specs)
+                 on_done: Optional[Callable[[int, SweepOutcome], None]]
+                 = None) -> None:
+        self.tasks = list(tasks)
         self.policy = policy
         self.on_done = on_done
         self.rng = policy.rng()
-        self.attempts = [0] * len(self.specs)
-        self.results: Dict[int, Any] = {}
+        self.attempts = [0] * len(self.tasks)
+        self.results: Dict[int, SweepOutcome] = {}
 
     def _count_retry(self) -> None:
         _obs.counter("resil.retries").inc()
@@ -570,7 +357,7 @@ class _UnitScheduler:
         if failure.exc_type == "DeadlineExceeded":
             _obs.counter("resil.timeouts").inc()
 
-    def _finish(self, i: int, result: Any) -> None:
+    def _finish(self, i: int, result: SweepOutcome) -> None:
         self.results[i] = result
         if self.on_done is not None and _unit_failure(result) is None:
             self.on_done(i, result)
@@ -590,7 +377,7 @@ class _UnitScheduler:
     def run_inline(self, todo: Sequence[int]) -> None:
         for i in todo:
             while True:
-                result = _run_unit(self.specs[i], self.attempts[i],
+                result = _run_task(self.tasks[i], self.attempts[i],
                                    self.policy)
                 failure = _unit_failure(result)
                 if failure is not None:
@@ -611,6 +398,7 @@ class _UnitScheduler:
         delayed: List[Tuple[float, int]] = []  # (ready monotonic, index)
         inflight: Dict[Any, int] = {}
         nworkers = min(jobs, max(1, len(todo)))
+        shard_jobs = max(1, (os.cpu_count() or 1) // nworkers)
         pool = self._make_pool(nworkers)
         try:
             while queue or delayed or inflight:
@@ -619,9 +407,9 @@ class _UnitScheduler:
                     queue.append(heapq.heappop(delayed)[1])
                 while queue:
                     i = queue.popleft()
-                    inflight[pool.submit(_run_unit, self.specs[i],
-                                         self.attempts[i],
-                                         self.policy)] = i
+                    inflight[pool.submit(_run_task, self.tasks[i],
+                                         self.attempts[i], self.policy,
+                                         shard_jobs)] = i
                 if not inflight:
                     time.sleep(max(0.0, delayed[0][0] - now))
                     continue
@@ -646,8 +434,8 @@ class _UnitScheduler:
                         if self._wants_retry(i, failure):
                             self._delay(delayed, i)
                         else:
-                            self._finish(i, self._failed_result(
-                                i, failure))
+                            self._finish(i, _failed_outcome(
+                                self.tasks[i], failure))
                         continue
                     failure = _unit_failure(result)
                     if failure is not None:
@@ -687,21 +475,18 @@ class _UnitScheduler:
             self.attempts[i] += 1
             queue.append(i)
         else:
-            self._finish(i, _poison_result(self.specs[i],
-                                           self.attempts[i]))
+            self._finish(i, _failed_outcome(self.tasks[i], WorkerFailure(
+                kind=FailureKind.POISON.value, exc_type="BrokenProcessPool",
+                message="worker process exited abruptly "
+                        "(crash, OOM kill, or hard signal)",
+                traceback="BrokenProcessPool: worker process exited "
+                          "abruptly\n",
+                retries=self.attempts[i])))
 
     def _delay(self, delayed: List[Tuple[float, int]], i: int) -> None:
         ready = time.monotonic() + self.policy.backoff(
             self.attempts[i] - 1, self.rng)
         heapq.heappush(delayed, (ready, i))
-
-    def _failed_result(self, i: int, failure: WorkerFailure) -> Any:
-        kind, task, si = self.specs[i]
-        if kind == "task":
-            return SweepOutcome(key=task.key, mode=task.mode,
-                                engine=task.engine, shards=task.shards
-                                ).set_failure(failure)
-        return _ShardUnit(failure=failure, retries=failure.retries)
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +629,13 @@ def run_sweep(tasks: Sequence[SweepTask],
               checkpoint_fsync: bool = False) -> List[SweepOutcome]:
     """Run every task, in order, across ``jobs`` worker processes.
 
-    ``jobs=None`` or ``jobs=1`` (or a single unit) runs inline — no
-    processes, easiest to debug, and what the test suite exercises by
-    default.  Outcomes are returned in task order regardless of worker
-    scheduling.  A failing task never aborts the sweep: its outcome
+    ``jobs=None`` or ``jobs=1`` (or a single task) runs the units inline
+    — no sweep worker processes, easiest to debug, and what the test
+    suite exercises by default.  A sharded task still starts its
+    session's shard pool, inline or not (see :class:`_UnitScheduler`
+    for how a pooled sweep splits the CPUs between the two).  Outcomes
+    are returned in task order regardless of worker scheduling.  A
+    failing task never aborts the sweep: its outcome
     carries :attr:`SweepOutcome.error` (plus the structured
     ``error_kind``/``retries``/``duration`` fields) and empty results.
     With observability enabled, per-task worker metrics are merged back
@@ -875,21 +663,10 @@ def run_sweep(tasks: Sequence[SweepTask],
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = retry if retry is not None else DEFAULT_POLICY
-    # Sharded analyze tasks expand into per-shard units that share the
-    # pool with whole-task units, so one huge trace no longer serializes
-    # the sweep; the parent folds each group back into one outcome.
-    specs: List[Tuple[str, SweepTask, int]] = []
-    plan: List[Tuple[int, int]] = []
-    for task in tasks:
-        plan.append((len(specs), task.shards))
-        if task.shards > 1:
-            specs.extend(("shard", task, si) for si in range(task.shards))
-        else:
-            specs.append(("task", task, 0))
 
     ckpt: Optional[SweepCheckpoint] = None
     digests: List[str] = []
-    restored: Dict[int, Any] = {}
+    restored: Dict[int, SweepOutcome] = {}
     if checkpoint:
         # Dedup journal payloads against the sweep's analysis cache when
         # every caching task agrees on one directory; mixed or absent
@@ -902,8 +679,7 @@ def run_sweep(tasks: Sequence[SweepTask],
                                        fsync=checkpoint_fsync)
         ckpt = SweepCheckpoint(checkpoint, fsync=checkpoint_fsync,
                                cache=ckpt_cache)
-        digests = [SweepCheckpoint.unit_digest(task, kind, si)
-                   for kind, task, si in specs]
+        digests = [SweepCheckpoint.unit_digest(task) for task in tasks]
         journal = ckpt.load()
         for i, digest in enumerate(digests):
             if digest in journal:
@@ -913,47 +689,16 @@ def run_sweep(tasks: Sequence[SweepTask],
         if restored:
             _obs.counter("resil.checkpoint_restored").inc(len(restored))
             logger.info("sweep checkpoint %s: restored %d/%d unit(s)",
-                        checkpoint, len(restored), len(specs))
-
-    # Parent-side recording for the zero-copy fan-out: each sharded task
-    # with a trace_dir records once into a digest-named columnar store
-    # (skipped when every unit was already restored), and its shard
-    # units become mmap replays of that store.  Specs must be patched
-    # before the scheduler snapshots them.  Unit digests hash the recipe
-    # only, so checkpoints stay valid across this rewrite.
-    record_stats: Dict[int, Any] = {}
-    for ti, (task, (base, count)) in enumerate(zip(tasks, plan)):
-        if (count <= 1 or task.trace_dir is None
-                or task.trace_path is not None
-                or all(base + si in restored for si in range(count))):
-            continue
-        try:
-            from repro.core.tracestore import record_spilled
-            with _trace.span("shard.record", program=str(task.key)):
-                stored, stats = record_spilled(
-                    task.builder(*task.args, **task.kwargs),
-                    task.trace_dir, batch=task.batch,
-                    spill_mb=task.spill_mb, **task.params)
-        except Exception as exc:
-            logger.warning("sweep task %r: trace-store recording failed "
-                           "(%s: %s); shard units will re-record",
-                           task.key, type(exc).__name__, exc)
-            continue
-        task = replace(task, trace_path=stored.path)
-        tasks[ti] = task
-        record_stats[ti] = stats
-        for si in range(count):
-            specs[base + si] = ("shard", task, si)
+                        checkpoint, len(restored), len(tasks))
 
     # Parent-side closed-form derivation: static tasks that request
     # closed_form and share one kernel shape derive ONCE here — sampled
     # on the sweep's own sizes, so every task's bound is a verified hull
     # member — and the derivation ships to each unit.  A refused
     # derivation ships too, so units enumerate without re-deriving.
-    # Like the trace rewrite above, this patches specs after digests
-    # were taken, so checkpoints stay valid.  A derivation that raises
-    # leaves its group untouched: units derive (or enumerate) on their
-    # own side.
+    # This patches tasks after digests were taken, so checkpoints stay
+    # valid.  A derivation that raises leaves its group untouched: units
+    # derive (or enumerate) on their own side.
     cf_groups: Dict[Tuple, List[int]] = {}
     for ti, task in enumerate(tasks):
         spec = task.closed_form
@@ -997,35 +742,22 @@ def run_sweep(tasks: Sequence[SweepTask],
                            type(exc).__name__, exc, len(tis))
             continue
         for ti in tis:
-            task = replace(tasks[ti], closed_form={
+            tasks[ti] = replace(tasks[ti], closed_form={
                 **tasks[ti].closed_form, "samples": list(samples),
                 "derivation": deriv})
-            tasks[ti] = task
-            specs[plan[ti][0]] = ("task", task, 0)
 
-    def on_done(i: int, result: Any) -> None:
-        if ckpt is None or i in restored:
-            return
-        kind, task, si = specs[i]
-        ckpt.record(digests[i], f"{task.key!r}/{kind}{si}", result)
+    def on_done(i: int, result: SweepOutcome) -> None:
+        if ckpt is not None and i not in restored:
+            ckpt.record(digests[i], repr(tasks[i].key), result)
 
-    scheduler = _UnitScheduler(specs, policy, on_done=on_done)
+    scheduler = _UnitScheduler(tasks, policy, on_done=on_done)
     scheduler.results.update(restored)
-    todo = [i for i in range(len(specs)) if i not in restored]
+    todo = [i for i in range(len(tasks)) if i not in restored]
     if jobs == 1 or len(todo) <= 1:
         scheduler.run_inline(todo)
     else:
         scheduler.run_pool(todo, jobs)
-    unit_results = [scheduler.results[i] for i in range(len(specs))]
-
-    outcomes = []
-    for ti, (task, (base, count)) in enumerate(zip(tasks, plan)):
-        if count == 1:
-            outcomes.append(unit_results[base])
-        else:
-            outcomes.append(_merge_sharded_task(
-                task, unit_results[base:base + count],
-                stats=record_stats.get(ti)))
+    outcomes = [scheduler.results[i] for i in range(len(tasks))]
     if _obs.is_enabled():
         registry = _obs.registry()
         for out in outcomes:

@@ -10,6 +10,7 @@ run-compressed affine regions, and through every integration surface:
 session, cache, sweep driver, and CLI.
 """
 
+import os
 import pickle
 
 import pytest
@@ -224,19 +225,22 @@ class TestSweepIntegration:
         params = SweepParams(n=6, mm=4, nm=2, noct=1)
         tasks = [
             SweepTask(key="plain", builder=build_original, args=(params,),
-                      cache_dir=str(tmp_path)),
+                      cache_dir=str(tmp_path / "cache")),
+            # its own cache: sharded and plain runs share merged entries,
+            # so a shared cache would serve this task without sharding
             SweepTask(key="sharded", builder=build_original,
                       args=(params,), shards=3,
-                      cache_dir=str(tmp_path)),
+                      cache_dir=str(tmp_path / "cache-sharded")),
         ]
         plain, sharded = run_sweep(tasks, jobs=1)
         assert plain.error is None and sharded.error is None
+        assert not sharded.from_cache
         assert pickle.dumps(sharded.state) == pickle.dumps(plain.state)
         assert sharded.totals == plain.totals
         assert sharded.shards == 3 and plain.shards == 1
         assert sharded.stats.accesses == plain.stats.accesses
-        # sharded units + merged write-through populated the cache:
-        # the pooled re-run is pure cache hits, same bytes
+        # the sharded session wrote its merged state through: the pooled
+        # re-run is pure cache hits, same bytes
         again = run_sweep(tasks, jobs=2)
         assert all(out.from_cache for out in again)
         assert pickle.dumps(again[1].state) == pickle.dumps(plain.state)
@@ -248,31 +252,59 @@ class TestSweepIntegration:
         tasks = [
             SweepTask(key="plain", builder=build_original, args=(params,),
                       cache_dir=str(tmp_path / "cache")),
+            # its own cache: sharded and plain runs share merged entries,
+            # so a shared cache would serve this task without recording
             SweepTask(key="spilled", builder=build_original,
                       args=(params,), shards=3,
-                      cache_dir=str(tmp_path / "cache"),
+                      cache_dir=str(tmp_path / "cache-spilled"),
                       trace_dir=str(tmp_path / "ts"), spill_mb=0.01),
         ]
         plain, spilled = run_sweep(tasks, jobs=1)
         assert plain.error is None and spilled.error is None
+        assert not spilled.from_cache
         assert pickle.dumps(spilled.state) == pickle.dumps(plain.state)
         assert spilled.stats.accesses == plain.stats.accesses
-        # the parent recorded once: exactly one digest-named store
+        # the unit's session recorded once: exactly one digest-named store
         assert len(os.listdir(str(tmp_path / "ts"))) == 1
-        # shard partials were cached under the trace digest: a pooled
-        # re-run is pure cache hits, same bytes
+        # the merged state was written through: a pooled re-run is pure
+        # cache hits, same bytes
         again = run_sweep(tasks, jobs=2)
         assert all(out.from_cache for out in again)
         assert pickle.dumps(again[1].state) == pickle.dumps(plain.state)
 
-    def test_pool_expansion_without_cache(self):
+    def test_sharded_task_writes_through_its_cache(self, tmp_path):
+        from dataclasses import replace
         from repro.tools.sweep import SweepTask, run_sweep
         params = SweepParams(n=6, mm=4, nm=2, noct=1)
         ref = _sequential_ref(lambda: build_original(params))
-        (out,) = run_sweep([SweepTask(key="s", builder=build_original,
-                                      args=(params,), shards=4)], jobs=2)
-        assert out.error is None
-        assert pickle.dumps(out.state) == ref
+        task = SweepTask(key="s", builder=build_original, args=(params,),
+                         shards=3, cache_dir=str(tmp_path))
+        (first,) = run_sweep([task])
+        assert not first.from_cache
+        assert pickle.dumps(first.state) == ref
+        again = run_sweep([task, replace(task, key="t")], jobs=2)
+        assert all(out.from_cache for out in again)
+        assert [pickle.dumps(out.state) for out in again] == [ref, ref]
+
+    def test_pool_expansion_without_cache(self, obs_on, monkeypatch):
+        """Two sharded tasks at jobs=2: each pool unit starts its own
+        session shard pool inside a sweep worker."""
+        from repro.tools.sweep import SweepTask, run_sweep
+        # four CPUs split between two sweep workers: a two-process shard
+        # pool per unit on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        grid = [SweepParams(n=n, mm=4, nm=2, noct=1) for n in (5, 6)]
+        refs = [_sequential_ref(lambda p=p: build_original(p))
+                for p in grid]
+        outs = run_sweep([SweepTask(key=p.n, builder=build_original,
+                                    args=(p,), shards=4)
+                          for p in grid], jobs=2)
+        assert [out.error for out in outs] == [None, None]
+        assert [pickle.dumps(out.state) for out in outs] == refs
+        # every shard ran (no fenwick fallback hid a pool failure)
+        counters = obs_on.snapshot()["counters"]
+        assert counters["shard.workers"] == 8
+        assert "resil.fallbacks" not in counters
 
     def test_measure_mode_rejects_shards(self):
         """The simulator's LRU state is order-dependent: a sharded

@@ -8,10 +8,13 @@ resilience layer steers scheduling only, never answers.
 import multiprocessing
 import os
 import pickle
+import threading
+import time
 
 import pytest
 
 from repro.apps.sweep3d import SweepParams, build_original
+from repro.obs import trace as obs_trace
 from repro.testing import faults
 from repro.testing.faults import FaultSpec
 from repro.tools import AnalysisCache, AnalysisSession, SweepTask, run_sweep
@@ -91,6 +94,58 @@ class TestDeadlineRetry:
         assert snap["counters"]["resil.timeouts"] == 1
         assert snap["counters"]["resil.retries"] == 1
 
+    def test_stalled_shard_times_out_not_falls_back(self, obs_on,
+                                                    tmp_path, monkeypatch):
+        """A sharded task's deadline overrun kills its hung shard worker
+        and is retried, not swallowed by the session's fenwick
+        fallback."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a shard pool
+        tasks = [SweepTask(key=4, builder=build_original,
+                           args=(SweepParams(n=4, mm=3, nm=2, noct=1),),
+                           shards=2)]
+        clean = run_sweep(tasks)
+        faults.install(FaultSpec(point="shard.worker", action="stall",
+                                 delay=60.0, match=(("index", 1),),
+                                 times=1, marker=str(tmp_path / "m")))
+        policy = RetryPolicy(retries=1, base_delay=0.01, jitter=0.0,
+                             timeout=0.5)
+        t0 = time.monotonic()
+        outcomes = run_sweep(tasks, retry=policy)
+        assert time.monotonic() - t0 < 15.0, "waited on the stalled shard"
+        assert multiprocessing.active_children() == []
+        assert not outcomes[0].failed
+        assert outcomes[0].retries == 1
+        assert _states(outcomes) == _states(clean)
+        counters = obs_on.snapshot()["counters"]
+        assert counters["resil.timeouts"] == 1
+        assert "resil.fallbacks" not in counters
+
+    def test_deadline_keeps_finished_shard_partials(self, obs_on,
+                                                    tmp_path, monkeypatch):
+        """Shard partials are cached as each shard finishes, so a run cut
+        short by its deadline leaves them for the next attempt."""
+        from repro.tools.resilience import DeadlineExceeded, deadline
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a shard pool
+        params = SweepParams(n=4, mm=3, nm=2, noct=1)
+        clean = AnalysisSession(build_original(params))
+        clean.run()
+        cache = AnalysisCache(str(tmp_path / "cache"))
+        faults.install(FaultSpec(point="shard.worker", action="stall",
+                                 delay=60.0, match=(("index", 1),),
+                                 times=1, marker=str(tmp_path / "m")))
+        with pytest.raises(DeadlineExceeded), deadline(5.0):
+            AnalysisSession(build_original(params), shards=2,
+                            cache=cache).run()
+        assert multiprocessing.active_children() == []
+        faults.clear()
+        before = obs_on.snapshot()["counters"].get("shard.workers", 0)
+        resumed = AnalysisSession(build_original(params), shards=2,
+                                  cache=cache).run()
+        # shard 0 came from its cached partial: only shard 1 ran
+        assert obs_on.snapshot()["counters"]["shard.workers"] - before == 1
+        assert (pickle.dumps(resumed.analyzer.dump_state())
+                == pickle.dumps(clean.analyzer.dump_state()))
+
     def test_deadline_failure_is_transient_kind(self):
         faults.install(FaultSpec(point="sweep.unit", action="stall",
                                  delay=5.0, match=(("key", 4),), times=0))
@@ -122,8 +177,7 @@ class TestPoolCrashRecovery:
         # every worker attempt crashes: both units exhaust their retry
         # budget through pool rebuilds and surface as poison, not a hang
         faults.install(FaultSpec(point="sweep.unit", action="crash",
-                                 match=(("unit", "task"),), times=0,
-                                 marker=str(tmp_path / "m")))
+                                 times=0, marker=str(tmp_path / "m")))
         outcomes = run_sweep(_analyze_tasks((4, 5)), jobs=2,
                              retry=RetryPolicy(retries=1, base_delay=0.01,
                                                jitter=0.0))
@@ -180,21 +234,27 @@ class TestCheckpointResume:
         assert len(SweepCheckpoint(ckpt_path).load()) == 2
 
     @pytest.mark.slow
-    def test_killed_parallel_sharded_sweep_resumes(self, tmp_path):
-        """Nightly chaos leg: crash a sharded parallel sweep, resume."""
+    def test_killed_parallel_sharded_sweep_resumes(self, obs_on, tmp_path,
+                                                   monkeypatch):
+        """Nightly chaos leg: crash one shard worker of a sharded task in
+        a parallel sweep; its session falls back, then resume."""
+        # four CPUs split between two sweep workers: a two-process shard
+        # pool per unit on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         tasks = [SweepTask(key=n, builder=build_original,
                            args=(SweepParams(n=n, mm=3, nm=2, noct=1),),
                            mode="analyze", shards=2)
                  for n in (4, 5, 6)]
         ckpt_path = str(tmp_path / "ck.jsonl")
         clean = run_sweep(tasks)
-        faults.install(FaultSpec(point="sweep.unit", action="crash",
-                                 match=(("key", 5), ("index", 1)),
-                                 times=1, marker=str(tmp_path / "m")))
+        faults.install(FaultSpec(point="shard.worker", action="crash",
+                                 match=(("index", 1),), times=1,
+                                 marker=str(tmp_path / "m")))
         crashed = run_sweep(tasks, jobs=2, retry=FAST,
                             checkpoint=ckpt_path)
         assert [out.failed for out in crashed] == [False] * 3
         assert _states(crashed) == _states(clean)
+        assert obs_on.snapshot()["counters"]["resil.fallbacks"] == 1
         faults.clear()
         resumed = run_sweep(tasks, checkpoint=ckpt_path)
         assert _states(resumed) == _states(clean)
@@ -261,6 +321,33 @@ class TestEngineFallback:
         assert degraded.fallback["from"] == "fenwick+shards=3"
         assert (pickle.dumps(degraded.analyzer.dump_state())
                 == pickle.dumps(clean.analyzer.dump_state()))
+
+    def test_dead_shard_worker_falls_back_not_hangs(self, obs_on,
+                                                    tmp_path):
+        params = SweepParams(n=4, mm=3, nm=2, noct=1)
+        clean = AnalysisSession(build_original(params))
+        clean.run()
+        faults.install(FaultSpec(point="shard.worker", action="crash",
+                                 match=(("index", 1),), times=1,
+                                 marker=str(tmp_path / "m")))
+        degraded = AnalysisSession(build_original(params), shards=2,
+                                   shard_jobs=2)
+        result = {}
+        runner = threading.Thread(
+            target=lambda: result.setdefault("s", degraded.run()),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "session hung on a dead shard worker"
+        assert "s" in result
+        assert degraded.fallback["from"] == "fenwick+shards=2"
+        assert "BrokenProcessPool" in degraded.fallback["error"]
+        assert (pickle.dumps(degraded.analyzer.dump_state())
+                == pickle.dumps(clean.analyzer.dump_state()))
+        snap = obs_on.snapshot()
+        assert snap["counters"]["resil.fallbacks"] == 1
+        assert any(span.name == "session.fallback"
+                   for span in obs_trace.tracer().spans)
 
     def test_plain_fenwick_has_no_fallback_and_raises(self):
         faults.install(FaultSpec(point="session.run", action="raise",
