@@ -155,7 +155,7 @@ def _run_variant(executor_cls, params, engine="fenwick"):
     try:
         t0 = time.perf_counter()
         stats = executor.run()
-        analyzer._flush()
+        analyzer.flush()
         elapsed = time.perf_counter() - t0
     finally:
         if gc_was_enabled:
@@ -281,7 +281,7 @@ def _run_static_leg(params, triad_n, repeats):
     try:
         t0 = time.perf_counter()
         triad_stats = BatchExecutor(triad_prog, analyzer).run()
-        analyzer._flush()
+        analyzer.flush()
         dynamic_t = time.perf_counter() - t0
     finally:
         if gc_was_enabled:

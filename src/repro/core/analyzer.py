@@ -149,7 +149,7 @@ class ReuseAnalyzer:
         state after seeding the scope stack.
         """
         self._np_state = state
-        self._flush = state.flush
+        self.flush = state.flush
         self.access = state.scalar_access
         self.access_batch = state.append_batch
         self.access_rows = state.append_rows
@@ -245,15 +245,18 @@ class ReuseAnalyzer:
 
     # -- results -------------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Resolve buffered work before a result read (no-op by default).
+    def flush(self) -> None:
+        """Resolve buffered work now (no-op by default).
 
-        The numpy engine replaces this with its buffer flush in
-        ``__init__``; the per-access engines have nothing pending.
+        Every result read flushes first, so results are identical either
+        way; calling it where the event stream ends charges the numpy
+        engine's last window to the phase that fed it.  The numpy engine
+        replaces this with its buffer flush in ``__init__``; the
+        per-access engines have nothing pending.
         """
 
     def granularity(self, name: str) -> GranularityState:
-        self._flush()
+        self.flush()
         for g in self.grans:
             if g.name == name:
                 return g
@@ -278,7 +281,7 @@ class ReuseAnalyzer:
         deliberately excluded: a restored analyzer answers result queries
         but cannot resume the event stream.
         """
-        self._flush()
+        self.flush()
         return {
             "version": STATE_VERSION,
             "clock": self.clock,
@@ -300,7 +303,7 @@ class ReuseAnalyzer:
         Granularity names and block sizes must match.  Pattern dicts are
         mutated in place so the specialized closures stay valid.
         """
-        self._flush()
+        self.flush()
         version = state.get("version")
         if version != STATE_VERSION:
             raise ValueError(
@@ -335,7 +338,7 @@ class ReuseAnalyzer:
         return analyzer.load_state(state)
 
     def __repr__(self) -> str:
-        self._flush()
+        self.flush()
         parts = ", ".join(
             f"{g.name}:{g.block_size}B×{len(g.table)}" for g in self.grans
         )

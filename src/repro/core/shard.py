@@ -456,7 +456,7 @@ def analyze_shard(sl: ShardSlice,
         # stored slice: stream the op range straight off the mmap
         from repro.core.tracestore import TraceStore, replay_slice
         replay_slice(TraceStore(sl.path), sl, analyzer)
-    analyzer._flush()
+    analyzer.flush()
     grans = []
     for gi, g in enumerate(analyzer.grans):
         if g.db.cold:  # pragma: no cover - invariant guard

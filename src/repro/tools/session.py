@@ -224,6 +224,9 @@ class AnalysisSession:
         with _trace.span("execute",
                          executor=executor_cls.__name__) as esp:
             self.stats = executor.run(**params)
+            # the numpy engine's last window is execute's work: resolve
+            # it here, not lazily in cache_store or predict
+            self.analyzer.flush()
             esp.set(accesses=self.stats.accesses)
         phases["execute"] = time.perf_counter() - t0
         logger.info("%s executed: %d accesses",

@@ -1,8 +1,14 @@
 """Run manifests: session integration, JSON roundtrip, rendering."""
 
 import json
+import pickle
+
+import pytest
 
 from repro.apps.kernels import fig1_interchange
+from repro.apps.sweep3d import SweepParams, build_original
+from repro.core.npengine import NumpyBatchState
+from repro.obs import trace
 from repro.obs.manifest import RunManifest
 from repro.tools import AnalysisCache, AnalysisSession, program_fingerprint
 
@@ -56,6 +62,31 @@ class TestSessionManifest:
         assert "predict" not in session.manifest.phases
         session.totals()
         assert session.manifest.phases["predict"] >= 0
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_numpy_window_flushed_inside_execute(self, obs_on, tmp_path,
+                                                 monkeypatch, cached):
+        """The numpy engine's pending window is execute's work: it is
+        resolved inside the execute span, not by cache_store or predict
+        reading the state later, and the state stays fenwick's."""
+        flushed_in = []
+        real_flush = NumpyBatchState.flush
+
+        def spy(state):
+            if state._n:
+                stack = trace.tracer()._stack
+                flushed_in.append(stack[-1].name if stack else None)
+            real_flush(state)
+
+        monkeypatch.setattr(NumpyBatchState, "flush", spy)
+        build = lambda: build_original(SweepParams(n=4, mm=4, nm=2, noct=1))
+        cache = AnalysisCache(str(tmp_path)) if cached else None
+        session = AnalysisSession(build(), engine="numpy", cache=cache).run()
+        assert session.analyzer._np_state._n == 0
+        assert flushed_in and set(flushed_in) == {"execute"}
+        fenwick = AnalysisSession(build()).run()
+        assert (pickle.dumps(session.analyzer.dump_state())
+                == pickle.dumps(fenwick.analyzer.dump_state()))
 
 
 class TestSerialization:
