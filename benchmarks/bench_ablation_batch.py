@@ -19,21 +19,20 @@ quantifies the repo's answer to that cost:
   the JSON makes single-CPU oversubscription visible instead of hiding
   it),
 * **sharded**: ONE trace time-sliced into K=4 shards
-  (`repro.core.shard.analyze_sharded`: record -> split -> per-shard
-  workers -> boundary merge), compared against the sequential numpy
+  (`repro.core.shard.analyze_sharded`: record into a private trace
+  store -> split -> per-shard workers -> boundary merge), compared against the sequential numpy
   engine on the same >= 200k-access trace.  The merged state must be
   byte-identical (`pickle.dumps` equality, dict order included); the
   >= 1.8x `shard_speedup` gate applies only when the host has >= 4 CPUs
   (`shard_cpus` records what the run actually had — on a 1-CPU host the
   sharded wall time is honestly reported, not excused),
-* **fan-out**: the same workload spilled ONCE to the columnar trace
-  store (`repro.core.tracestore`), then split into file-offset slices
-  that the shard workers replay off the mmap.  Recording stays outside
-  the timed region — it is paid once per trace and amortized over every
-  analysis — so `fanout_speedup` must beat `shard_speedup` on *any*
-  host: the fan-out run does strictly less work per analysis (no
-  re-record, no op-list pickle to the pool).  Byte-identity of the
-  merged state is asserted in smoke mode too.
+* **fan-out**: the same workload recorded ONCE to the columnar trace
+  store (`repro.core.tracestore`, forced to spill at 1 MB), then split
+  into file-offset slices that the shard workers replay off the mmap.
+  Recording stays outside the timed region, so `fanout_speedup` must
+  beat `shard_speedup` on *any* host: the fan-out run is the sharded
+  leg minus its recording.  Byte-identity of the merged state is
+  asserted in smoke mode too.
 
 * **static**: no pipeline at all — `repro.static.profile` predicts the
   pattern databases analytically.  Two numbers: the per-analysis cost on
@@ -102,6 +101,7 @@ import json
 import os
 import pickle
 import statistics
+import tempfile
 import time
 
 import pytest
@@ -399,13 +399,11 @@ def _run_sharded(params, jobs):
 
 
 def _run_fanout(stored, jobs):
-    """Split + workers + merge off one already-spilled trace.
+    """Split + workers + merge off one already-recorded trace.
 
-    The recording is *not* in the timed region — that is the fan-out
-    leg's whole claim: one spilled recording feeds every downstream
-    sharded analysis through the page cache, so the marginal cost of an
-    additional analysis is the offset-range split plus the mmap replay,
-    never a re-record or an op-list pickle.
+    The recording is *not* in the timed region: this is the sharded
+    leg's analysis alone, the offset-range split plus the mmap replay
+    and the merge.
     """
     from repro.core.shard import analyze_trace_sharded
     gc.collect()
@@ -468,28 +466,28 @@ def _experiment(smoke=False):
     shard_identical = (pickle.dumps(shard_state)
                        == pickle.dumps(numpy_an.dump_state()))
 
-    # Fan-out leg: the SAME workload spilled ONCE to the columnar trace
+    # Fan-out leg: the SAME workload recorded ONCE to the columnar trace
     # store, then repeatedly split into offset slices that the workers
-    # replay off the mmap.  Recording happens outside the timed region
-    # (it is paid once per trace, amortized over every analysis), so
-    # fanout_s is the marginal cost the sharded leg re-pays per run.
-    from repro.core.tracestore import record_spilled
-    trace_root = os.path.join(RESULTS_DIR, "tracestore")
-    t0 = time.perf_counter()
-    stored, _rec_stats = record_spilled(build_original(params),
-                                        trace_root, spill_mb=1.0)
-    fanout_record_s = time.perf_counter() - t0
-    with open(os.path.join(stored.path, "meta.json"),
-              encoding="utf-8") as fh:
-        trace_spill_bytes = json.load(fh)["bytes"]
-    _run_fanout(stored, shard_jobs)
-    fanout_t = None
-    fanout_state = None
-    for _ in range(repeats):
-        elapsed, state = _run_fanout(stored, shard_jobs)
-        if fanout_t is None or elapsed < fanout_t:
-            fanout_t = elapsed
-            fanout_state = state
+    # replay off the mmap.  Recording happens outside the timed region,
+    # so fanout_s is the analysis the sharded leg runs after recording.
+    from repro.core.shard import record_trace
+    from repro.core.tracestore import TraceStoreWriter
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        t0 = time.perf_counter()
+        stored, _rec_stats = record_trace(
+            build_original(params), TraceStoreWriter(tmp, spill_mb=1.0))
+        fanout_record_s = time.perf_counter() - t0
+        with open(os.path.join(stored.path, "meta.json"),
+                  encoding="utf-8") as fh:
+            trace_spill_bytes = json.load(fh)["bytes"]
+        _run_fanout(stored, shard_jobs)
+        fanout_t = None
+        fanout_state = None
+        for _ in range(repeats):
+            elapsed, state = _run_fanout(stored, shard_jobs)
+            if fanout_t is None or elapsed < fanout_t:
+                fanout_t = elapsed
+                fanout_state = state
     fanout_identical = (pickle.dumps(fanout_state)
                         == pickle.dumps(numpy_an.dump_state()))
 
@@ -680,10 +678,9 @@ def test_ablation_batch_throughput(benchmark, record, request):
     assert r["accesses"] >= 200_000
     if r["shard_cpus"] >= 4:
         assert r["shard_speedup"] >= 1.8
-    # Fanning out from one spilled trace must beat the record-every-run
-    # sharded pipeline on any host: the timed region drops the record
-    # phase entirely and ships offset slices instead of op lists, so if
-    # this fails the store's replay path is slower than re-recording.
+    # Fanning out from one recorded trace must beat the record-every-run
+    # sharded pipeline on any host: the timed region is that pipeline
+    # minus its record phase.
     assert r["fanout_speedup"] > r["shard_speedup"]
     assert r["trace_spill_bytes"] > 0
     # The static engine's claim is asymptotic: O(symbolic terms) vs

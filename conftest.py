@@ -28,6 +28,23 @@ def obs_on():
             trace.reset()
 
 
+@pytest.fixture
+def trace_tmpdir(tmp_path, monkeypatch):
+    """Point ``$TMPDIR`` at a fresh directory for this test.
+
+    Sharded runs record into private ``repro-trace-*`` stores under the
+    temp dir; tests assert none survives.  ``tempfile``'s cached default
+    is reset so this process, and any child it starts, picks the new dir.
+    """
+    import tempfile
+
+    tmpdir = tmp_path / "tmpdir"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    return tmpdir
+
+
 def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", default=False,
                      help="also run tests marked @pytest.mark.slow")

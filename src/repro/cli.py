@@ -23,10 +23,6 @@ Commands
     submission with per-tenant quotas, a durable job store under
     ``--state-dir``, and content-addressed artifacts.  Stop with
     SIGINT/SIGTERM; a restart resumes the queue.
-``trace gc``
-    Bound a columnar trace-store directory: evict least-recently-used
-    stores until the directory fits ``--max-gb``, never touching stores
-    referenced by live service jobs (``--state-dir``).
 ``jobs list`` / ``jobs gc``
     Inspect a service job store, and expire terminal job records past a
     retention window (``--keep-days``), unpinning their artifact blobs.
@@ -60,7 +56,6 @@ Examples
     python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint sweep.ckpt
     python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint sweep.ckpt --resume
     python -m repro serve --state-dir /tmp/repro-svc --workers 2
-    python -m repro trace gc --trace-dir /tmp/traces --max-gb 2
 """
 
 from __future__ import annotations
@@ -116,31 +111,23 @@ def cmd_analyze(args) -> int:
         raise SystemExit("--closed-form requires --engine static")
     program = _build(args.workload, args)
     cache = None if args.no_cache else AnalysisCache()
-    trace_dir = args.trace_dir
-    if trace_dir is None and args.spill_mb is not None:
-        # --spill-mb alone still spills; the store just lands in a
-        # throwaway directory instead of a reusable one
-        import tempfile
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
     cf_spec = None
     if args.closed_form:
         cf_spec = {"workload": args.workload,
                    "params": _size_overrides(args.workload, args)}
     session = AnalysisSession(program, cache=cache, engine=args.engine,
-                              shards=args.shards, trace_store=trace_dir,
-                              spill_mb=args.spill_mb,
+                              shards=args.shards,
                               closed_form=args.closed_form,
                               closed_form_spec=cf_spec)
-    spilled = " from a spilled trace" if trace_dir is not None else ""
     if args.engine == "static":
         print(f"estimating {program.name} analytically (no execution) ...",
               file=sys.stderr)
     elif args.shards > 1:
         print(f"running {program.name} under instrumentation "
-              f"({args.shards} time shards{spilled}) ...", file=sys.stderr)
+              f"({args.shards} time shards) ...", file=sys.stderr)
     else:
-        print(f"running {program.name} under instrumentation"
-              f"{spilled} ...", file=sys.stderr)
+        print(f"running {program.name} under instrumentation ...",
+              file=sys.stderr)
     session.run()
     if session.from_cache:
         print("(restored from analysis cache)", file=sys.stderr)
@@ -223,7 +210,6 @@ def cmd_sweep(args) -> int:
                 key=f"sweep3d-n{n}", builder=build_original,
                 args=(SweepParams(n=n),), engine=args.engine,
                 shards=args.shards, cache_dir=args.cache_dir,
-                trace_dir=args.trace_dir, spill_mb=args.spill_mb,
                 closed_form=({"workload": "sweep3d",
                               "params": {"mesh": n}}
                              if args.closed_form else None)))
@@ -233,7 +219,6 @@ def cmd_sweep(args) -> int:
                 key=f"gtc-m{m}", builder=build_gtc,
                 args=(None, GTCParams(micell=m)), engine=args.engine,
                 shards=args.shards, cache_dir=args.cache_dir,
-                trace_dir=args.trace_dir, spill_mb=args.spill_mb,
                 closed_form=({"workload": "gtc",
                               "params": {"micell": m}}
                              if args.closed_form else None)))
@@ -320,38 +305,6 @@ def cmd_serve(args) -> int:
           f"{args.workers} worker(s); stop with SIGINT/SIGTERM",
           file=sys.stderr)
     asyncio.run(_run())
-    return 0
-
-
-def cmd_trace(args) -> int:
-    if args.trace_command != "gc":
-        raise SystemExit("usage: repro trace gc --trace-dir D --max-gb N")
-    from repro.core.tracestore import gc_trace_dir
-
-    protect = []
-    if args.state_dir:
-        from repro.service.jobs import live_trace_refs
-        protect = live_trace_refs(args.state_dir)
-    result = gc_trace_dir(args.trace_dir,
-                          max_bytes=int(args.max_gb * 1024 ** 3),
-                          protect=protect, dry_run=args.dry_run)
-    mib = 1024.0 ** 2
-    tag = " (dry run)" if args.dry_run else ""
-    print(f"trace gc {args.trace_dir}{tag}:")
-    print(f"  before   {result.total_bytes_before / mib:10.1f} MiB "
-          f"({len(result.evicted) + len(result.kept) + len(result.protected)} "
-          "stores)")
-    print(f"  evicted  {result.freed_bytes / mib:10.1f} MiB "
-          f"({len(result.evicted)} stores)")
-    print(f"  after    {result.total_bytes_after / mib:10.1f} MiB "
-          f"({len(result.kept) + len(result.protected)} stores, "
-          f"{len(result.protected)} protected by live jobs)")
-    for path in result.evicted:
-        print(f"  - {path}")
-    over = result.total_bytes_after - int(args.max_gb * 1024 ** 3)
-    if over > 0 and result.protected:
-        print(f"  still {over / mib:.1f} MiB over budget: protected "
-              "stores are never evicted", file=sys.stderr)
     return 0
 
 
@@ -538,15 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="analyze the trace as K parallel time "
                               "shards (results are byte-identical to "
                               "a sequential run)")
-    analyze.add_argument("--trace-dir", metavar="DIR",
-                         help="spill the recording to a columnar trace "
-                              "store under DIR; shards replay it via "
-                              "mmap instead of re-recording")
-    analyze.add_argument("--spill-mb", type=float, default=None,
-                         metavar="MB",
-                         help="in-memory buffer bound for the spilled "
-                              "recording (default 64; implies a "
-                              "temporary --trace-dir if none is given)")
     analyze.add_argument("--xml", metavar="PATH",
                          help="also export the XML database")
     analyze.add_argument("--html", metavar="PATH",
@@ -577,14 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes")
     sweep.add_argument("--shards", type=int, default=1, metavar="K",
                        help="time shards per task")
-    sweep.add_argument("--trace-dir", metavar="DIR",
-                       help="record each task once into a columnar "
-                            "trace store under DIR; its shards replay "
-                            "it via mmap")
-    sweep.add_argument("--spill-mb", type=float, default=None,
-                       metavar="MB",
-                       help="in-memory buffer bound for trace-store "
-                            "recordings (default 64)")
     sweep.add_argument("--engine", default="fenwick",
                        choices=("fenwick", "numpy", "static"))
     sweep.add_argument("--closed-form", action="store_true",
@@ -614,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the analysis job server")
     serve.add_argument("--state-dir", required=True, metavar="DIR",
                        help="durable service state: job journal, job "
-                            "dirs, shared cache, trace stores")
+                            "dirs, shared cache")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (0 = pick a free one; the "
@@ -680,20 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "up to S seconds before interrupting them "
                             "(0 = interrupt immediately)")
 
-    trace = sub.add_parser("trace", help="trace-store maintenance")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    gc = trace_sub.add_parser("gc", help="evict cold stores (LRU) until "
-                                         "the dir fits a size budget")
-    gc.add_argument("--trace-dir", required=True, metavar="DIR",
-                    help="columnar trace-store directory to bound")
-    gc.add_argument("--max-gb", type=float, required=True, metavar="N",
-                    help="size budget in GiB")
-    gc.add_argument("--state-dir", metavar="DIR",
-                    help="service state dir whose live jobs' stores "
-                         "must be kept")
-    gc.add_argument("--dry-run", action="store_true",
-                    help="rank and report without deleting")
-
     val = sub.add_parser("validate", help="cross-validate the static "
                                           "engine against a dynamic run")
     val.add_argument("workload", nargs="?", choices=sorted(WORKLOADS),
@@ -755,7 +677,7 @@ def main(argv: Optional[list] = None) -> int:
     handlers: Dict[str, Callable] = {
         "list": cmd_list, "analyze": cmd_analyze, "measure": cmd_measure,
         "sweep": cmd_sweep, "stats": cmd_stats, "serve": cmd_serve,
-        "trace": cmd_trace, "cache": cmd_cache, "validate": cmd_validate,
+        "cache": cmd_cache, "validate": cmd_validate,
         "jobs": cmd_jobs,
     }
     return handlers[args.command](args)

@@ -6,17 +6,19 @@ single access stream across workers, PARDA-style, and merges the partial
 results back into output byte-identical to a sequential run:
 
 1. **Record.**  The program runs once under a :class:`StreamRecorder`,
-   which captures the event stream as replayable ops.  Affine loops stay
-   unmaterialized (`("rows", ...)` ops mirror the
+   which streams the event stream as replayable ops into a columnar
+   trace store on disk (:mod:`repro.core.tracestore`).  Affine loops
+   stay unmaterialized (``("rows", ...)`` ops mirror the
    ``BatchExecutor.access_rows`` protocol), so recording is cheap — no
-   per-access Python work for the loops that dominate real traces.
-2. **Split.**  :func:`split_trace` cuts the stream into K contiguous time
-   shards at access-count boundaries.  Batch chunks are sliced and affine
-   row blocks are split into partial-row / whole-rows / partial-row
-   pieces, so a boundary can land anywhere — mid-scope, mid-chunk, or in
-   the middle of a run-compressed region.  Each shard carries the scope
-   stack live at its start (*seed* scopes, with their global entry
-   clocks).
+   per-access Python work for the loops that dominate real traces — and
+   its memory is bounded by the store's spill buffer.
+2. **Split.**  :func:`~repro.core.tracestore.split_stored_trace` cuts
+   the stream into K contiguous time shards at access-count boundaries,
+   as op-index ranges into the store.  A boundary can land anywhere —
+   mid-scope, mid-chunk, or in the middle of a run-compressed region;
+   replay materializes only the partial pieces.  Each shard carries the
+   scope stack live at its start (*seed* scopes, with their global
+   entry clocks).
 3. **Analyze.**  Each shard replays its ops through a
    :class:`ReuseAnalyzer` whose buffered numpy state is swapped for
    :class:`ShardBatchState`.  Global clocks are preserved (the shard
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import logging
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -57,6 +60,10 @@ from repro.core.analyzer import STATE_VERSION, ReuseAnalyzer
 from repro.core.histogram import bin_of_array
 from repro.core.npengine import (
     NumpyBatchState, NumpyFenwickEngine, _count_smaller_left,
+)
+from repro.core.tracestore import (
+    StoredShardSlice, StoredTrace, TraceStore, TraceStoreWriter,
+    replay_slice, split_stored_trace,
 )
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
@@ -73,9 +80,11 @@ _DEFAULT_GRANS = {"line": 64, "page": 512}
 # ---------------------------------------------------------------------------
 
 class StreamRecorder:
-    """Event handler that captures the access stream as replayable ops.
+    """Event handler that streams the access stream into a trace store.
 
-    Ops are plain tuples (picklable, slicable):
+    Every handler call becomes one op of the recorder's vocabulary,
+    handed to ``sink.add_op`` (a :class:`~repro.core.tracestore.
+    TraceStoreWriter`):
 
     * ``("enter", sid)`` / ``("exit", sid)`` — scope events;
     * ``("batch", rids, addrs, stores, period)`` — a materialized chunk
@@ -83,22 +92,18 @@ class StreamRecorder:
     * ``("rows", rids, stores, bases, strides, m)`` — an unmaterialized
       affine chunk, exactly the ``access_rows`` protocol.
 
-    With a ``spill`` sink (a :class:`~repro.core.tracestore.
-    TraceStoreWriter`), ops stream to the columnar on-disk store instead
-    of ``self.ops``, and open scalar segments are closed at a fixed cap
-    so the recorder's own buffering stays bounded too.  Chunk boundaries
-    are analysis-neutral, so the cap cannot change results.
+    Open scalar segments close at a fixed cap so the recorder's own
+    buffering stays bounded too.  Chunk boundaries are analysis-neutral,
+    so the cap cannot change results.
     """
 
-    #: spill mode only: close open scalar segments at this many accesses
-    SPILL_COALESCE_CAP = 1 << 16
+    #: close open scalar segments at this many accesses
+    COALESCE_CAP = 1 << 16
 
-    def __init__(self, spill=None) -> None:
-        self.ops: List[tuple] = []
+    def __init__(self, sink) -> None:
         self.accesses = 0
         self._open: Optional[Tuple[list, list, list]] = None
-        self._spill = spill
-        self._sink = spill.add_op if spill is not None else self.ops.append
+        self._sink = sink.add_op
 
     def enter_scope(self, sid: int) -> None:
         self._close()
@@ -116,8 +121,7 @@ class StreamRecorder:
             op[0].append(rid)
             op[1].append(addr)
             op[2].append(is_store)
-            if (self._spill is not None
-                    and len(op[1]) >= self.SPILL_COALESCE_CAP):
+            if len(op[1]) >= self.COALESCE_CAP:
                 self._close()
         self.accesses += 1
 
@@ -146,189 +150,28 @@ class StreamRecorder:
             self._open = None
 
 
-@dataclass(frozen=True)
-class RecordedTrace:
-    """One program run's event stream, ready to split."""
+def record_trace(program, store, batch: bool = True,
+                 **params) -> Tuple[StoredTrace, "RunStats"]:
+    """Run ``program`` once into a trace store; returns (trace, stats).
 
-    ops: Tuple[tuple, ...]
-    accesses: int
-
-
-def record_trace(program, batch: bool = True, spill=None,
-                 spill_mb: Optional[float] = None, **params):
-    """Run ``program`` once under a recorder; returns (trace, stats).
-
-    With ``spill`` (a trace-store directory path, or an existing
-    :class:`~repro.core.tracestore.TraceStoreWriter`), the event stream
-    goes to the columnar on-disk store under a ``spill_mb``-bounded
-    buffer and the first return value is a
-    :class:`~repro.core.tracestore.StoredTrace` handle instead of an
-    in-memory :class:`RecordedTrace`.
+    ``store`` is the store's directory, or an open
+    :class:`~repro.core.tracestore.TraceStoreWriter` (to choose its
+    spill buffer).  The event stream goes to disk column-wise under the
+    writer's bounded buffer; the caller owns the directory.
     """
     from repro.lang.batch import BatchExecutor
     from repro.lang.executor import Executor
-    writer = None
-    if spill is not None:
-        from repro.core.tracestore import TraceStoreWriter
-        writer = (spill if isinstance(spill, TraceStoreWriter)
-                  else TraceStoreWriter(spill, spill_mb=spill_mb))
-    recorder = StreamRecorder(spill=writer)
+    writer = (store if isinstance(store, TraceStoreWriter)
+              else TraceStoreWriter(store))
+    recorder = StreamRecorder(writer)
     executor_cls = BatchExecutor if batch else Executor
     try:
         stats = executor_cls(program, recorder).run(**params)
         recorder._close()
-    except Exception:
-        if writer is not None:
-            writer.abort()
+    except BaseException:
+        writer.abort()
         raise
-    if writer is not None:
-        return writer.finalize(), stats
-    return RecordedTrace(tuple(recorder.ops), recorder.accesses), stats
-
-
-# ---------------------------------------------------------------------------
-# Splitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardSlice:
-    """One contiguous time shard of a recorded trace (picklable)."""
-
-    index: int
-    nshards: int
-    #: global clock before the shard's first access
-    start: int
-    #: accesses in the shard
-    length: int
-    #: scope stack live at the shard start (global entry clocks)
-    seed_sids: Tuple[int, ...]
-    seed_clocks: Tuple[int, ...]
-    ops: Tuple[tuple, ...]
-
-
-def _emit_partial(out, rids, stores, bases, strides, row, jlo, jhi) -> None:
-    out.append(("batch", list(rids[jlo:jhi]),
-                [bases[j] + row * strides[j] for j in range(jlo, jhi)],
-                list(stores[jlo:jhi]), 0))
-
-
-def _emit_rows_piece(out, rids, stores, bases, strides, k, off, take) -> None:
-    """Emit accesses [off, off+take) of an m-iteration affine rows op.
-
-    Misaligned edges materialize only the partial rows; whole iterations
-    in between stay an unmaterialized ``rows`` op with shifted bases.
-    """
-    end = off + take
-    r0, j0 = divmod(off, k)
-    r1, j1 = divmod(end, k)
-    if j0:
-        jhi = k if r1 > r0 else j1
-        _emit_partial(out, rids, stores, bases, strides, r0, j0, jhi)
-        if jhi < k:
-            return
-        r0 += 1
-    if r1 > r0:
-        out.append(("rows", rids, stores,
-                    tuple(b + r0 * s for b, s in zip(bases, strides)),
-                    strides, r1 - r0))
-    if j1:
-        _emit_partial(out, rids, stores, bases, strides, r1, 0, j1)
-
-
-def split_trace(trace: RecordedTrace, nshards: int) -> List[ShardSlice]:
-    """Cut a recorded trace into K contiguous time shards.
-
-    Shard boundaries are access-count cuts at ``i * n // K``; K is
-    clamped to the access count (each shard gets at least one access,
-    and an empty trace yields a single empty shard).  Scope events that
-    fall exactly on a cut go to the *following* shard, so a shard's seed
-    clocks are all strictly below its start clock.
-
-    A spilled trace (:class:`~repro.core.tracestore.StoredTrace` or an
-    open :class:`~repro.core.tracestore.TraceStore`) routes to
-    :func:`~repro.core.tracestore.split_stored_trace`, which emits
-    file-offset slices instead of copied op lists — same cut semantics,
-    same seed stacks.
-    """
-    if not isinstance(trace, RecordedTrace):
-        from repro.core.tracestore import split_stored_trace
-        return split_stored_trace(trace, nshards)
-    n = trace.accesses
-    k = max(1, min(int(nshards), n if n else 1))
-    cuts = [(i * n) // k for i in range(k + 1)]
-    shards: List[ShardSlice] = []
-    cur: List[tuple] = []
-    sids: List[int] = []
-    clocks: List[int] = []
-    state = {"si": 0, "consumed": 0, "start": 0,
-             "seed_s": (), "seed_c": ()}
-
-    def close() -> None:
-        shards.append(ShardSlice(
-            state["si"], k, state["start"],
-            state["consumed"] - state["start"],
-            state["seed_s"], state["seed_c"], tuple(cur)))
-        cur.clear()
-        state["si"] += 1
-        state["seed_s"] = tuple(sids)
-        state["seed_c"] = tuple(clocks)
-        state["start"] = state["consumed"]
-
-    def at_cut() -> bool:
-        return (state["si"] < k - 1
-                and state["consumed"] == cuts[state["si"] + 1])
-
-    for op in trace.ops:
-        tag = op[0]
-        if tag == "enter":
-            if at_cut():
-                close()
-            cur.append(op)
-            sids.append(op[1])
-            clocks.append(state["consumed"])
-        elif tag == "exit":
-            if at_cut():
-                close()
-            cur.append(op)
-            sids.pop()
-            clocks.pop()
-        elif tag == "batch":
-            _, rids, addrs, stores, period = op
-            total = len(addrs)
-            off = 0
-            while off < total:
-                if at_cut():
-                    close()
-                room = (cuts[state["si"] + 1] if state["si"] < k - 1
-                        else n) - state["consumed"]
-                take = min(room, total - off)
-                if off == 0 and take == total:
-                    cur.append(op)
-                else:
-                    per = (period if period and off % period == 0
-                           and take % period == 0 else 0)
-                    cur.append(("batch", rids[off:off + take],
-                                addrs[off:off + take],
-                                stores[off:off + take], per))
-                state["consumed"] += take
-                off += take
-        else:  # rows
-            _, rids, stores, bases, strides, m = op
-            krow = len(rids)
-            total = m * krow
-            off = 0
-            while off < total:
-                if at_cut():
-                    close()
-                room = (cuts[state["si"] + 1] if state["si"] < k - 1
-                        else n) - state["consumed"]
-                take = min(room, total - off)
-                _emit_rows_piece(cur, rids, stores, bases, strides,
-                                 krow, off, take)
-                state["consumed"] += take
-                off += take
-    close()
-    return shards
+    return writer.finalize(), stats
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +265,15 @@ class ShardResult:
     metrics: Optional[Dict[str, Any]] = None
 
 
-def analyze_shard(sl: ShardSlice,
+def analyze_shard(sl: StoredShardSlice,
                   granularities: Dict[str, int]) -> ShardResult:
     """Replay one shard through a seeded analyzer; locally-exact result.
 
     The analyzer's clock starts at the shard's global start and its scope
     stack is pre-seeded, so in-shard reuses (distances, bins, carrying
     scopes) come out exactly as in the sequential run.  Cross-shard
-    reuses land in the unresolved boundary set for the merge.
+    reuses land in the unresolved boundary set for the merge.  The op
+    range streams straight off the store's mmap.
     """
     analyzer = ReuseAnalyzer(granularities, engine="numpy")
     state = ShardBatchState(analyzer, seed_len=len(sl.seed_sids))
@@ -437,25 +281,7 @@ def analyze_shard(sl: ShardSlice,
     analyzer.clock = sl.start
     analyzer.stack._sids.extend(sl.seed_sids)
     analyzer.stack._clocks.extend(sl.seed_clocks)
-    if isinstance(sl, ShardSlice):
-        enter = analyzer.enter_scope
-        leave = analyzer.exit_scope
-        batch = analyzer.access_batch
-        rows = analyzer.access_rows
-        for op in sl.ops:
-            tag = op[0]
-            if tag == "batch":
-                batch(op[1], op[2], op[3], op[4])
-            elif tag == "rows":
-                rows(op[1], op[2], op[3], op[4], op[5])
-            elif tag == "enter":
-                enter(op[1])
-            else:
-                leave(op[1])
-    else:
-        # stored slice: stream the op range straight off the mmap
-        from repro.core.tracestore import TraceStore, replay_slice
-        replay_slice(TraceStore(sl.path), sl, analyzer)
+    replay_slice(TraceStore(sl.path), sl, analyzer)
     analyzer.flush()
     grans = []
     for gi, g in enumerate(analyzer.grans):
@@ -741,7 +567,7 @@ def _run_shard(args) -> ShardResult:
     return result
 
 
-def run_shards(slices: Sequence[ShardSlice],
+def run_shards(slices: Sequence[StoredShardSlice],
                granularities: Dict[str, int],
                jobs: Optional[int] = None,
                on_result: Optional[Callable[[ShardResult], None]] = None
@@ -811,13 +637,13 @@ def _kill_pool(pool) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-def analyze_trace_sharded(trace: RecordedTrace,
+def analyze_trace_sharded(trace: StoredTrace,
                           granularities: Dict[str, int],
                           shards: int,
                           jobs: Optional[int] = None) -> Dict:
     """Split → analyze → merge one recorded trace; returns a state dict."""
     with _trace.span("shard.split", shards=shards):
-        slices = split_trace(trace, shards)
+        slices = split_stored_trace(trace, shards)
     results = run_shards(slices, granularities, jobs)
     with _trace.span("shard.merge", shards=len(results)):
         return merge_shard_results(results, granularities, trace.accesses)
@@ -833,10 +659,17 @@ def analyze_sharded(program, shards: int,
     byte-identical to a sequential analysis (any engine) plus the
     recording run's :class:`~repro.lang.executor.RunStats`.  Use
     ``ReuseAnalyzer.from_state(state)`` for a results-only analyzer.
+    The trace store lives in a private temporary directory (under
+    ``$TMPDIR``) that is removed however the run ends, SIGTERM included.
     """
+    from repro.tools.resilience import term_unwinds
     if granularities is None:
         granularities = dict(_DEFAULT_GRANS)
-    with _trace.span("shard.record", program=program.name):
-        trace, stats = record_trace(program, batch=batch, **params)
-    state = analyze_trace_sharded(trace, granularities, shards, jobs=jobs)
+    with term_unwinds(), \
+            tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        with _trace.span("shard.record", program=program.name):
+            trace, stats = record_trace(program, tmp, batch=batch,
+                                        **params)
+        state = analyze_trace_sharded(trace, granularities, shards,
+                                      jobs=jobs)
     return state, stats

@@ -1,22 +1,21 @@
 """Spillable columnar trace store: record once, mmap everywhere.
 
-The shard pipeline (:mod:`repro.core.shard`) records a program's event
-stream as in-memory op tuples.  That caps the analyzable trace at RAM
-and makes fan-out expensive: every worker either re-records the whole
-program or receives the full op list through pickle.  This module moves
-the recording to disk in a columnar, fixed-width layout that ``mmap``
-serves back with zero serialization cost:
+Sharded analysis (:mod:`repro.core.shard`) records a program's event
+stream once and fans it out to K shard workers.  This module holds that
+recording on disk in a columnar, fixed-width layout that ``mmap`` serves
+back with zero serialization cost, so recording memory is bounded by a
+spill buffer and every worker shares one copy through the page cache:
 
-* **Writing.**  :class:`TraceStoreWriter` receives the same five-method
-  handler stream a :class:`~repro.core.shard.StreamRecorder` produces
-  and buffers it column-wise in plain Python lists.  When the buffered
-  estimate crosses the configured spill bound (``spill_mb``), every
-  column is appended to its file and the buffers reset — recording a
-  trace of any length needs only the spill buffer in memory.  Affine
-  ``rows`` ops stay *symbolic* on disk (base/stride/count per reference,
-  never expanded to element lists), so the file inherits the recorder's
-  run compression: a billion-access affine loop costs one 32-byte op
-  record plus ~25 bytes per reference.
+* **Writing.**  :class:`TraceStoreWriter` receives the op stream a
+  :class:`~repro.core.shard.StreamRecorder` produces and buffers it
+  column-wise in plain Python lists.  When the buffered estimate crosses
+  the spill bound (``spill_mb``, default :data:`DEFAULT_SPILL_MB`),
+  every column is appended to its file and the buffers reset —
+  recording a trace of any length needs only the spill buffer in
+  memory.  Affine ``rows`` ops stay *symbolic* on disk (base/stride/
+  count per reference, never expanded to element lists), so the file
+  inherits the recorder's run compression: a billion-access affine loop
+  costs one 32-byte op record plus ~25 bytes per reference.
 * **Layout.**  One directory per trace.  ``ops.i64`` is an int64 array
   of shape ``(nops, 4)`` — ``(kind, a, b, c)`` with kinds enter/exit
   (``a`` = sid), batch (``a`` = offset into the batch side tables,
@@ -29,24 +28,24 @@ serves back with zero serialization cost:
 * **Digest.**  Each column is hashed incrementally as it spills, so the
   digest depends only on the recorded *content*, never on where the
   flush boundaries fell — a trace spilled with a 1 MB buffer hashes
-  identically to the same trace spilled with 64 MB.  The combined digest
-  is the cache key for shard partials (see
-  :meth:`~repro.tools.cache.AnalysisCache.trace_shard_key_for`) and the
-  dedup name :func:`record_spilled` stores the directory under.
+  identically to the same trace spilled with 64 MB.  The digest is the
+  cache key for shard partials (see
+  :meth:`~repro.tools.cache.AnalysisCache.trace_shard_key_for`), so a
+  re-run that records the same bytes resumes from its partials.
 * **Reading.**  :class:`TraceStore` lazily mmaps each column read-only;
   :func:`split_stored_trace` computes shard slices as *op-index ranges*
   by scanning only the ops column (no side-table I/O), and
   :func:`replay_slice` streams one slice through an analyzer,
-  materializing only the slice's own batch elements — so K workers
-  share one recording through the page cache, and a trace larger than
-  memory analyzes without ever being resident at once.
+  materializing only the slice's own batch elements and partial rows —
+  so K workers share one recording through the page cache, and a trace
+  larger than memory analyzes without ever being resident at once.
 
-Splitting and replay reproduce :func:`repro.core.shard.split_trace`
-semantics exactly (scope events on a cut open the next shard, mid-batch
-cuts preserve the period only when row-aligned, mid-row cuts materialize
-only the partial rows), so the merged ``dump_state()`` stays
-byte-identical to the sequential engines — the invariant the
-equivalence test matrix enforces for spilled and in-memory traces alike.
+A store is a run's private scratch: the session records it into a
+temporary directory and removes it when the run ends.  Cut semantics
+(scope events on a cut open the next shard, mid-batch cuts keep the
+period only when row-aligned, mid-row cuts materialize only the partial
+rows) keep the merged ``dump_state()`` byte-identical to the sequential
+engines — the invariant the equivalence test matrix enforces.
 """
 
 from __future__ import annotations
@@ -56,10 +55,9 @@ import json
 import logging
 import mmap
 import os
-import shutil
 import tempfile
-from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -289,10 +287,6 @@ class TraceStore:
         self._mmaps: List[mmap.mmap] = []
         self._obs_opens = _obs.counter("trace.mmap_opens")
 
-    def handle(self) -> StoredTrace:
-        return StoredTrace(path=self.path, accesses=self.accesses,
-                           nops=self.nops, digest=self.digest)
-
     def _col(self, name: str) -> np.ndarray:
         arr = self._cols.get(name)
         if arr is None:
@@ -377,13 +371,15 @@ class StoredShardSlice:
 
 
 def split_stored_trace(trace, nshards: int) -> List[StoredShardSlice]:
-    """Cut a stored trace into K shards by scanning only the ops column.
+    """Cut a stored trace into K contiguous time shards.
 
-    Mirrors :func:`repro.core.shard.split_trace` exactly — same cut
-    points (``i * n // K``), same clamping, and scope events on a cut
-    open the *following* shard — but emits op-index ranges instead of
-    copied op lists, so the pass reads ``nops * 32`` bytes however many
-    accesses the trace holds.
+    Shard boundaries are access-count cuts at ``i * n // K``; K is
+    clamped to the access count (each shard gets at least one access,
+    and an empty trace yields a single empty shard).  Scope events that
+    fall exactly on a cut go to the *following* shard, so a shard's seed
+    clocks are all strictly below its start clock.  Slices are op-index
+    ranges, so the pass reads ``nops * 32`` bytes however many accesses
+    the trace holds.
     """
     store = trace if isinstance(trace, TraceStore) else trace.open()
     ops = store.ops
@@ -448,17 +444,44 @@ def split_stored_trace(trace, nshards: int) -> List[StoredShardSlice]:
 # Replay
 # ---------------------------------------------------------------------------
 
+def _emit_partial(out, rids, stores, bases, strides, row, jlo, jhi) -> None:
+    out.append(("batch", list(rids[jlo:jhi]),
+                [bases[j] + row * strides[j] for j in range(jlo, jhi)],
+                list(stores[jlo:jhi]), 0))
+
+
+def _emit_rows_piece(out, rids, stores, bases, strides, k, off, take) -> None:
+    """Emit accesses [off, off+take) of an m-iteration affine rows op.
+
+    Misaligned edges materialize only the partial rows; whole iterations
+    in between stay an unmaterialized ``rows`` op with shifted bases.
+    """
+    end = off + take
+    r0, j0 = divmod(off, k)
+    r1, j1 = divmod(end, k)
+    if j0:
+        jhi = k if r1 > r0 else j1
+        _emit_partial(out, rids, stores, bases, strides, r0, j0, jhi)
+        if jhi < k:
+            return
+        r0 += 1
+    if r1 > r0:
+        out.append(("rows", rids, stores,
+                    tuple(b + r0 * s for b, s in zip(bases, strides)),
+                    strides, r1 - r0))
+    if j1:
+        _emit_partial(out, rids, stores, bases, strides, r1, 0, j1)
+
+
 def replay_slice(store: TraceStore, sl: StoredShardSlice, handler) -> None:
     """Stream one stored slice through an event handler.
 
-    Materializes exactly the op pieces :func:`~repro.core.shard.
-    split_trace` would have copied — full batch ops pass as value-equal
-    Python lists, partial rows go through the shard module's
-    ``_emit_rows_piece`` — so a downstream
-    :class:`~repro.core.shard.ShardBatchState` sees an input stream
-    identical to the in-memory path's, chunk boundaries included.
+    Whole batch ops pass as Python lists; a batch cut mid-way keeps its
+    period only when the piece is period-aligned; a rows op cut mid-way
+    goes through :func:`_emit_rows_piece`, so only the partial rows
+    materialize.  A downstream :class:`~repro.core.shard.ShardBatchState`
+    therefore sees the recorder's own stream, chunk boundaries included.
     """
-    from repro.core.shard import _emit_rows_piece
     ops = store.ops
     remaining = sl.length
     skip = sl.skip
@@ -516,161 +539,3 @@ def replay_slice(store: TraceStore, sl: StoredShardSlice, handler) -> None:
                         rows_fn(op[1], op[2], op[3], op[4], op[5])
         remaining -= take
     _obs.counter("trace.read_mb").inc(read_bytes / 1e6)
-
-
-# ---------------------------------------------------------------------------
-# Recording convenience
-# ---------------------------------------------------------------------------
-
-def record_spilled(program, trace_dir: str, batch: bool = True,
-                   spill_mb: Optional[float] = None,
-                   **params) -> Tuple[StoredTrace, "RunStats"]:
-    """Record ``program`` into a digest-named store under ``trace_dir``.
-
-    Records into a temp directory, then renames it to
-    ``<trace_dir>/<digest[:16]>``.  Identical content renames onto an
-    existing store of the same digest — the new copy is discarded and
-    the existing one reused, so repeated sweeps over the same point keep
-    exactly one store on disk.
-    """
-    from repro.core.shard import record_trace
-    os.makedirs(trace_dir, exist_ok=True)
-    tmp = tempfile.mkdtemp(dir=trace_dir, prefix=".rec-")
-    try:
-        stored, stats = record_trace(program, batch=batch, spill=tmp,
-                                     spill_mb=spill_mb, **params)
-    except Exception:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    final = os.path.join(trace_dir, stored.digest[:16])
-    try:
-        os.rename(tmp, final)
-    except OSError:
-        if not os.path.isdir(final):  # pragma: no cover - perms/races
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        # same digest already recorded (earlier run or concurrent
-        # racer): keep the existing store, drop the duplicate
-        shutil.rmtree(tmp, ignore_errors=True)
-        logger.info("trace store %s already recorded; reusing", final)
-    return _dc_replace(stored, path=final), stats
-
-
-# ---------------------------------------------------------------------------
-# Eviction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StoreUsage:
-    """One store under a trace dir: where, how big, when last read."""
-
-    path: str
-    digest: str
-    bytes: int
-    #: most recent access (max atime across the store's files); falls
-    #: back to mtime on filesystems mounted ``noatime``
-    atime: float
-
-
-@dataclass
-class TraceGCResult:
-    """What one :func:`gc_trace_dir` pass did (JSON-friendly)."""
-
-    evicted: List[str]
-    kept: List[str]
-    protected: List[str]
-    freed_bytes: int
-    total_bytes_before: int
-    total_bytes_after: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"evicted": list(self.evicted), "kept": list(self.kept),
-                "protected": list(self.protected),
-                "freed_bytes": self.freed_bytes,
-                "total_bytes_before": self.total_bytes_before,
-                "total_bytes_after": self.total_bytes_after}
-
-
-def scan_trace_dir(trace_dir: str) -> List[StoreUsage]:
-    """Enumerate the finalized stores under ``trace_dir``.
-
-    Only digest-named directories with an intact ``meta.json`` count;
-    in-flight ``.rec-*`` recordings and foreign files are ignored (the
-    cache's ``sweep_stale`` analogue for abandoned recordings is the
-    recorder's own cleanup).
-    """
-    stores: List[StoreUsage] = []
-    try:
-        entries = sorted(os.listdir(trace_dir))
-    except FileNotFoundError:
-        return stores
-    for name in entries:
-        path = os.path.join(trace_dir, name)
-        if name.startswith(".") or not os.path.isdir(path):
-            continue
-        try:
-            handle = load_trace(path)
-        except (OSError, ValueError, KeyError):
-            continue
-        size = 0
-        atime = 0.0
-        for fname in os.listdir(path):
-            try:
-                st = os.stat(os.path.join(path, fname))
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            size += st.st_size
-            # meta.json is read by every scan (load_trace above), so its
-            # atime reflects gc activity, not replay activity; recency
-            # comes from the column files a replay actually touches.
-            if fname != "meta.json":
-                atime = max(atime, st.st_atime, st.st_mtime)
-        stores.append(StoreUsage(path=path, digest=handle.digest,
-                                 bytes=size, atime=atime))
-    return stores
-
-
-def gc_trace_dir(trace_dir: str, max_bytes: int,
-                 protect: Iterable[str] = (),
-                 dry_run: bool = False) -> TraceGCResult:
-    """Evict least-recently-used stores until the dir fits ``max_bytes``.
-
-    Stores are ranked by their access time (coldest first) and removed
-    until the directory's total drops to ``max_bytes`` or below.
-    Paths in ``protect`` — stores referenced by live service jobs or an
-    in-flight sweep — are never evicted, even if the directory stays
-    over budget as a result; bounding disk must not yank a recording
-    out from under a running analysis.  ``dry_run`` ranks and reports
-    without deleting.
-    """
-    protected_real = {os.path.realpath(p) for p in protect}
-    stores = scan_trace_dir(trace_dir)
-    total = sum(s.bytes for s in stores)
-    result = TraceGCResult(evicted=[], kept=[], protected=[],
-                           freed_bytes=0, total_bytes_before=total,
-                           total_bytes_after=total)
-    excess = total - int(max_bytes)
-    for store in sorted(stores, key=lambda s: (s.atime, s.path)):
-        live = os.path.realpath(store.path) in protected_real
-        if live:
-            result.protected.append(store.path)
-        if excess <= 0 or live:
-            if not live:
-                result.kept.append(store.path)
-            continue
-        if not dry_run:
-            shutil.rmtree(store.path, ignore_errors=True)
-        result.evicted.append(store.path)
-        result.freed_bytes += store.bytes
-        excess -= store.bytes
-    result.total_bytes_after = (result.total_bytes_before
-                                - result.freed_bytes)
-    if result.evicted:
-        _obs.counter("trace.gc_evicted").inc(len(result.evicted))
-        _obs.counter("trace.gc_freed_bytes").inc(result.freed_bytes)
-        logger.info("trace gc %s: evicted %d store(s), freed %d bytes "
-                    "(%d -> %d)%s", trace_dir, len(result.evicted),
-                    result.freed_bytes, result.total_bytes_before,
-                    result.total_bytes_after,
-                    " [dry run]" if dry_run else "")
-    return result

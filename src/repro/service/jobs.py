@@ -1,7 +1,7 @@
 """Durable job records for the analysis service.
 
 A job is *what to run* (:class:`JobSpec` — workload name, parameters,
-engine/shard/spill options) plus *where it is* (:class:`Job` — lifecycle
+engine/shard options) plus *where it is* (:class:`Job` — lifecycle
 state, timestamps, artifact digests).  The :class:`JobStore` makes both
 durable with the same discipline the sweep checkpoints use
 (:mod:`repro.tools.resilience`):
@@ -75,6 +75,11 @@ class SpecError(ValueError):
     """A submitted job spec failed validation (surfaces as HTTP 400)."""
 
 
+#: spec fields older releases journaled and no release reads any more
+#: (sharded jobs always record into a private trace store now)
+RETIRED_SPEC_KEYS = ("use_trace_store", "spill_mb")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Immutable description of one analysis job."""
@@ -84,10 +89,6 @@ class JobSpec:
     engine: str = "fenwick"
     shards: int = 1
     miss_model: str = "sa"
-    #: spill the recording to a columnar trace store under the service
-    #: state dir (required for shards > 1 jobs that want disk replay)
-    use_trace_store: bool = False
-    spill_mb: Optional[float] = None
     #: evaluate the cached closed-form derivation when the kernel
     #: closes, else enumerate (engine="static" only; byte-identical
     #: state, one derivation shared across jobs via the analysis cache)
@@ -106,8 +107,7 @@ class JobSpec:
         if not isinstance(data, dict):
             raise SpecError("job spec must be a JSON object")
         known = {"workload", "params", "engine", "shards", "miss_model",
-                 "use_trace_store", "spill_mb", "closed_form",
-                 "artifacts"}
+                 "closed_form", "artifacts"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise SpecError(f"unknown spec fields: {', '.join(unknown)}")
@@ -141,8 +141,6 @@ class JobSpec:
         # combinations bounce as HTTP 400 instead of failing the job
         if engine == "static" and shards > 1:
             raise SpecError("engine='static' has no trace to shard")
-        if engine == "static" and data.get("use_trace_store"):
-            raise SpecError("engine='static' records no trace to spill")
         if data.get("closed_form") and engine != "static":
             raise SpecError("closed_form requires engine='static'")
         miss_model = data.get("miss_model", "sa")
@@ -152,18 +150,26 @@ class JobSpec:
             raise SpecError(
                 f"'artifacts' must be a non-empty subset of "
                 f"{sorted(ARTIFACT_KINDS)}")
-        spill_mb = data.get("spill_mb")
-        if spill_mb is not None:
-            try:
-                spill_mb = float(spill_mb)
-            except (TypeError, ValueError):
-                raise SpecError("'spill_mb' must be a number")
         return cls(workload=workload, params=dict(params), engine=engine,
                    shards=shards, miss_model=str(miss_model),
-                   use_trace_store=bool(data.get("use_trace_store", False)),
-                   spill_mb=spill_mb,
                    closed_form=bool(data.get("closed_form", False)),
                    artifacts=tuple(artifacts))
+
+    @classmethod
+    def load(cls, path: str) -> "JobSpec":
+        """Read a journaled ``spec.json``.
+
+        Specs written before trace-store recording became the only
+        sharded path carry :data:`RETIRED_SPEC_KEYS`; they are dropped
+        here, so those jobs still recover and run.  Submissions stay
+        strict: :meth:`from_dict` rejects the same keys.
+        """
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+        if isinstance(data, dict):
+            for name in RETIRED_SPEC_KEYS:
+                data.pop(name, None)
+        return cls.from_dict(data)
 
 
 @dataclass
@@ -234,7 +240,7 @@ class JobStore:
 
         jobs.jsonl            append-only lifecycle journal
         jobs/<id>/spec.json   immutable submission
-        jobs/<id>/status.json worker progress (phase, trace_path, ...)
+        jobs/<id>/status.json worker progress (phase, pid, rss_mb, ts)
         jobs/<id>/result.json terminal outcome (totals, artifacts)
         service.json          listener host/port/pid (written by server)
 
@@ -495,7 +501,7 @@ class JobStore:
 
         The replacement is built in a temp file in the journal's own
         directory and swapped in with an atomic ``os.replace``, so a
-        crash (or a concurrent ``live_trace_refs`` reader) sees either
+        crash (or a concurrent reader) sees either
         the old journal or the new one, never a partial rewrite.  The
         folded lines replay to exactly the same state — same queue
         order, same resume counters, same terminal results — so a
@@ -676,8 +682,7 @@ class JobStore:
         requeued: List[Job] = []
         for job_id in order:
             try:
-                with open(self.spec_path(job_id), encoding="utf-8") as f:
-                    spec = JobSpec.from_dict(json.load(f))
+                spec = JobSpec.load(self.spec_path(job_id))
             except (OSError, ValueError) as exc:
                 logger.warning("job %s: unreadable spec (%s); dropping",
                                job_id, exc)
@@ -790,7 +795,7 @@ class JobStore:
     # -- queries --------------------------------------------------------
 
     def read_status(self, job_id: str) -> Dict[str, Any]:
-        """Worker-side progress (phase, metrics, trace_path); {} if none."""
+        """Worker-side progress (phase, pid, rss_mb, ts); {} if none."""
         try:
             with open(self.status_path(job_id), encoding="utf-8") as f:
                 return json.load(f)
@@ -804,26 +809,3 @@ class JobStore:
     def running_count(self, tenant: str) -> int:
         return sum(1 for j in self.jobs.values()
                    if j.tenant == tenant and j.state == "running")
-
-
-def live_trace_refs(state_dir: str) -> List[str]:
-    """Trace-store paths referenced by non-terminal jobs in ``state_dir``.
-
-    ``repro trace gc`` protects these from eviction: a queued or running
-    job may still replay its spilled store.  Reads the journal and each
-    live job's ``status.json`` (where the worker records the resolved
-    store path); a missing or unreadable state dir yields [].
-    """
-    refs: List[str] = []
-    try:
-        store = JobStore(state_dir)
-    except OSError:
-        return refs
-    store.recover()
-    for job in store.jobs.values():
-        if job.terminal:
-            continue
-        path = store.read_status(job.id).get("trace_path")
-        if path:
-            refs.append(path)
-    return refs

@@ -148,10 +148,6 @@ class ServiceConfig:
     def cache_dir(self) -> str:
         return os.path.join(self.state_dir, "cache")
 
-    @property
-    def trace_dir(self) -> str:
-        return os.path.join(self.state_dir, "traces")
-
 
 class AnalysisService:
     """The server: listener + scheduler over a durable :class:`JobStore`."""
@@ -326,7 +322,7 @@ class AnalysisService:
             proc = self._mp.Process(
                 target=job_process_main,
                 args=(self.store.job_dir(job_id), self.config.cache_dir,
-                      self.config.trace_dir, _obs.is_enabled(),
+                      _obs.is_enabled(),
                       logging.getLogger("repro").level or None,
                       _faults.active_specs(), self.config.heartbeat_s),
                 daemon=False)

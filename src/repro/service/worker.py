@@ -19,9 +19,8 @@ The server launches :func:`job_process_main` in its own
    the worker's metric snapshot for the parent to merge.
 
 Progress is visible throughout via atomic rewrites of ``status.json``
-(``phase`` walks build → analyze → predict → artifacts; ``trace_path``
-appears once a spilled recording resolves, for ``repro trace gc``
-live-reference protection).  A daemon heartbeat thread
+(``phase`` walks build → analyze → predict → artifacts).  A daemon
+heartbeat thread
 (:class:`StatusReporter`) re-stamps the same file every ``heartbeat_s``
 with a fresh timestamp and the worker's current RSS — the liveness and
 memory signal the scheduler-side supervisor
@@ -127,7 +126,6 @@ def _artifact_bytes(session, kind: str) -> bytes:
 
 
 def run_job(job_dir: str, cache_dir: str,
-            trace_dir: Optional[str] = None,
             heartbeat_s: float = 0.0) -> Dict[str, Any]:
     """Execute the job described by ``<job_dir>/spec.json``.
 
@@ -145,8 +143,7 @@ def run_job(job_dir: str, cache_dir: str,
     from repro.tools.cache import AnalysisCache
     from repro.tools.session import AnalysisSession
 
-    with open(os.path.join(job_dir, "spec.json"), encoding="utf-8") as f:
-        spec = JobSpec.from_dict(json.load(f))
+    spec = JobSpec.load(os.path.join(job_dir, "spec.json"))
 
     t0 = time.time()
     write_worker_identity(job_dir)
@@ -170,8 +167,6 @@ def run_job(job_dir: str, cache_dir: str,
             engine=spec.engine,
             cache=cache,
             shards=spec.shards,
-            trace_store=(trace_dir if spec.use_trace_store else None),
-            spill_mb=spec.spill_mb,
             closed_form=spec.closed_form,
             # the derivation cache entry lives in the shared analysis
             # cache, so restarted services and sibling jobs reuse it
@@ -181,15 +176,10 @@ def run_job(job_dir: str, cache_dir: str,
         )
         reporter.update(phase="analyze")
         session.run()
-        if session.trace_path:
-            reporter.update(phase="predict",
-                            trace_path=session.trace_path)
-        else:
-            reporter.update(phase="predict")
+        reporter.update(phase="predict")
         totals = session.totals()
 
-        reporter.update(phase="artifacts",
-                        trace_path=session.trace_path)
+        reporter.update(phase="artifacts")
         artifacts: List[Dict[str, Any]] = []
         deduped = 0
         for kind in spec.artifacts:
@@ -212,7 +202,6 @@ def run_job(job_dir: str, cache_dir: str,
             "artifacts_deduped": deduped,
             "from_cache": session.from_cache,
             "fallback": session.fallback,
-            "trace_path": session.trace_path,
             "wall_s": round(time.time() - t0, 6),
             "metrics": _obs.snapshot() if _obs.is_enabled() else {},
             "error": "",
@@ -239,7 +228,6 @@ def run_job(job_dir: str, cache_dir: str,
 
 
 def job_process_main(job_dir: str, cache_dir: str,
-                     trace_dir: Optional[str] = None,
                      obs_enabled: bool = False,
                      log_level: Optional[int] = None,
                      fault_specs: Sequence = (),
@@ -266,6 +254,5 @@ def job_process_main(job_dir: str, cache_dir: str,
         logging.getLogger("repro").setLevel(log_level)
     if fault_specs:
         _faults.set_specs(fault_specs)
-    result = run_job(job_dir, cache_dir, trace_dir,
-                     heartbeat_s=heartbeat_s)
+    result = run_job(job_dir, cache_dir, heartbeat_s=heartbeat_s)
     sys.exit(EXIT_OK if result.get("status") == "done" else EXIT_FAILED)

@@ -295,6 +295,28 @@ def install_term_handler() -> None:
     signal.signal(signal.SIGTERM, _on_term)
 
 
+@contextmanager
+def term_unwinds() -> Iterator[None]:
+    """Make SIGTERM raise ``SystemExit`` for the duration of the block.
+
+    A process terminated mid-block then runs the block's ``finally``
+    clauses — a sharded run removes its private trace store.  Acts only
+    on the main thread and only while SIGTERM has its default action: a
+    process with its own handler (pool workers, the service) keeps it.
+    The default action is restored on exit.
+    """
+    if (not hasattr(signal, "SIGTERM")
+            or threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
+        yield
+        return
+    install_term_handler()
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def retry_call(fn: Callable[[], Any], policy: RetryPolicy,
                rng: Optional[random.Random] = None,
                on_retry: Optional[Callable[[int, BaseException], None]]

@@ -13,8 +13,9 @@ fragmentation → per-level miss prediction → reports and recommendations.
 from __future__ import annotations
 
 import logging
+import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.analyzer import ReuseAnalyzer
 from repro.lang.ast import Program
@@ -26,7 +27,9 @@ from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.obs.manifest import RunManifest
 from repro.testing import faults as _faults
-from repro.tools.resilience import DeadlineExceeded, WorkerFailure
+from repro.tools.resilience import (
+    DeadlineExceeded, WorkerFailure, term_unwinds,
+)
 from repro.sim.hierarchy import HierarchySim
 from repro.static.fragmentation import FragmentationAnalysis
 from repro.static.related import StaticAnalysis
@@ -41,6 +44,11 @@ from repro.tools.scopetree import ScopeTree
 from repro.tools.xmlout import export as export_xml
 
 
+#: what every runner returns: the analyzer state dict (None when it
+#: stays in the session's analyzer) and the run's event totals
+_Outcome = Tuple[Optional[Dict], RunStats]
+
+
 class AnalysisSession:
     """Run the full toolkit on one program."""
 
@@ -53,8 +61,6 @@ class AnalysisSession:
                  batch: bool = True,
                  shards: int = 1,
                  shard_jobs: Optional[int] = None,
-                 trace_store: Optional[str] = None,
-                 spill_mb: Optional[float] = None,
                  closed_form: bool = False,
                  closed_form_spec: Optional[Dict] = None,
                  derivation=None) -> None:
@@ -67,17 +73,11 @@ class AnalysisSession:
         self.batch = batch
         self.shards = int(shards)
         self.shard_jobs = shard_jobs
-        #: directory for the spilled columnar trace store; when set, the
-        #: recording goes to disk and shards replay it via mmap
-        self.trace_store = trace_store
-        self.spill_mb = spill_mb
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if self.shards > 1 and simulate:
             raise ValueError("sharded analysis cannot drive the simulator "
                              "(LRU state is order-dependent)")
-        if trace_store is not None and simulate:
-            raise ValueError("spilled traces cannot drive the simulator")
         #: evaluate the cached closed-form derivation instead of
         #: enumerating (engine="static" only); the synthesized state is
         #: byte-identical either way
@@ -96,16 +96,13 @@ class AnalysisSession:
         self.closedform_fallbacks: Optional[int] = None
         if engine == "static":
             # The static engine never produces an access stream: there is
-            # nothing to simulate, shard, or spill.
+            # nothing to simulate or shard.
             if simulate:
                 raise ValueError("engine='static' predicts histograms "
                                  "analytically and cannot drive the "
                                  "simulator")
             if self.shards > 1:
                 raise ValueError("engine='static' has no trace to shard")
-            if trace_store is not None:
-                raise ValueError("engine='static' records no trace to "
-                                 "spill")
             if self.closed_form and self.closed_form_spec is None:
                 raise ValueError(
                     "closed_form=True needs closed_form_spec "
@@ -129,9 +126,6 @@ class AnalysisSession:
         #: {"from", "to", "error"} when the session degraded to the
         #: sequential fenwick path; None for a clean run
         self.fallback: Optional[Dict[str, str]] = None
-        #: resolved digest-named store directory when the run recorded
-        #: into :attr:`trace_store` (trace-gc live-reference tracking)
-        self.trace_path: Optional[str] = None
         self._static: Optional[StaticAnalysis] = None
         self._frag: Optional[FragmentationAnalysis] = None
         self._prediction: Optional[Prediction] = None
@@ -175,30 +169,28 @@ class AnalysisSession:
                 phases["cache_lookup"] = time.perf_counter() - t0
             if payload is not None:
                 self.analyzer.load_state(payload["analyzer_state"])
-                self.stats = payload["stats"]
+                stats = payload["stats"]
                 self.from_cache = True
                 logger.info("%s restored from analysis cache",
                             self.program.name)
                 sp.set(from_cache=True)
             else:
-                state = None
                 try:
                     _faults.fire("session.run", program=self.program.name,
                                  engine=self.engine, shards=self.shards)
                     if self.engine == "static":
-                        state = self._run_static(params, phases)
-                    elif self.shards > 1 or self.trace_store is not None:
-                        state = self._run_sharded(params, phases)
+                        state, stats = self._run_static(params, phases)
+                    elif self.shards > 1:
+                        state, stats = self._run_sharded(params, phases)
                     else:
-                        self._run_sequential(params, phases)
+                        state, stats = self._run_sequential(params, phases)
                 except Exception as exc:
                     # an overrun deadline is the caller's verdict, not an
                     # engine failure: a fallback would only run longer
                     if isinstance(exc, DeadlineExceeded) or (
-                            self.engine == "fenwick" and self.shards == 1
-                            and self.trace_store is None):
+                            self.engine == "fenwick" and self.shards == 1):
                         raise
-                    self._degrade(exc, params, phases)
+                    state, stats = self._degrade(exc, params, phases)
                 if key is not None:
                     t0 = time.perf_counter()
                     with _trace.span("cache.store"):
@@ -206,15 +198,21 @@ class AnalysisSession:
                             "analyzer_state": (
                                 state if state is not None
                                 else self.analyzer.dump_state()),
-                            "stats": self.stats})
+                            "stats": stats})
                     phases["cache_store"] = time.perf_counter() - t0
+            self.stats = stats
             self._ran = True
-            sp.set(accesses=self.stats.accesses)
+            sp.set(accesses=stats.accesses)
         self._build_manifest(params, phases, obs_before)
         return self
 
     def _run_sequential(self, params: Dict[str, int],
-                        phases: Dict[str, float]) -> None:
+                        phases: Dict[str, float]) -> _Outcome:
+        """Execute under the analyzer (and simulator); ``(None, stats)``.
+
+        The state stays in :attr:`analyzer`; ``run()`` dumps it only when
+        a cache entry needs it.
+        """
         handlers = [self.analyzer]
         if self.sim is not None:
             handlers.append(self.sim)
@@ -223,17 +221,18 @@ class AnalysisSession:
         t0 = time.perf_counter()
         with _trace.span("execute",
                          executor=executor_cls.__name__) as esp:
-            self.stats = executor.run(**params)
+            stats = executor.run(**params)
             # the numpy engine's last window is execute's work: resolve
             # it here, not lazily in cache_store or predict
             self.analyzer.flush()
-            esp.set(accesses=self.stats.accesses)
+            esp.set(accesses=stats.accesses)
         phases["execute"] = time.perf_counter() - t0
         logger.info("%s executed: %d accesses",
-                    self.program.name, self.stats.accesses)
+                    self.program.name, stats.accesses)
+        return None, stats
 
     def _run_static(self, params: Dict[str, int],
-                    phases: Dict[str, float]) -> Dict:
+                    phases: Dict[str, float]) -> _Outcome:
         """Predict the pattern databases analytically — no execution.
 
         :func:`repro.static.profile.static_profile` enumerates the
@@ -241,38 +240,40 @@ class AnalysisSession:
         state dict a dynamic run would have produced, in O(item classes)
         instead of O(accesses).  Loading it into the analyzer makes the
         whole downstream pipeline (predictor, scaling, reports,
-        recommendations) work unchanged; :attr:`stats` is synthesized to
-        match what an executor would have counted.  Programs the
+        recommendations) work unchanged; the returned stats are
+        synthesized to match what an executor would have counted.
+        Returns ``(state, stats)``.  Programs the
         iteration model cannot enumerate raise
         :class:`~repro.static.itermodel.StaticUnsupported`, which the
         caller degrades to a dynamic fenwick run.
         """
         from repro.static.profile import static_profile
         t0 = time.perf_counter()
-        state = self._closed_form_state() if self.closed_form else None
-        if state is None:
+        served = self._closed_form_state() if self.closed_form else None
+        if served is None:
             with _trace.span("static.estimate",
                              program=self.program.name) as esp:
-                state, self.stats = static_profile(
+                served = static_profile(
                     self.program, self.config.granularities(),
                     params=params)
-                esp.set(accesses=self.stats.accesses)
+                esp.set(accesses=served[1].accesses)
+        state, stats = served
         phase = ("closedform_evaluate" if self.closedform_fallbacks == 0
                  else "static_estimate")
         phases[phase] = time.perf_counter() - t0
         self.analyzer.load_state(state)
         logger.info("%s estimated statically: %d accesses modelled",
-                    self.program.name, self.stats.accesses)
-        return state
+                    self.program.name, stats.accesses)
+        return state, stats
 
-    def _closed_form_state(self) -> Optional[Dict]:
+    def _closed_form_state(self) -> Optional[_Outcome]:
         """Evaluate the closed-form derivation for this session's bounds.
 
         Resolves the derivation from :attr:`derivation` (shipped by a
         sweep parent), the in-process memo, or the analysis cache —
-        deriving fresh only when all three miss.  Returns the state dict
-        and sets :attr:`stats` and :attr:`closedform_fallbacks` (0 when
-        the closed form served; the reference count when the derivation
+        deriving fresh only when all three miss.  Returns ``(state,
+        stats)`` and sets :attr:`closedform_fallbacks` (0 when the
+        closed form served; the reference count when the derivation
         enumerated an out-of-hull bound).  Returns None when the
         derivation is refused or cannot be built: the caller then
         enumerates this session's program, and every reference counts
@@ -315,11 +316,10 @@ class AnalysisSession:
             state, stats, fallbacks = deriv.evaluate(int(value))
             esp.set(accesses=stats.accesses, fallbacks=fallbacks)
         self.closedform_fallbacks = fallbacks
-        self.stats = stats
-        return state
+        return state, stats
 
     def _degrade(self, exc: BaseException, params: Dict[str, int],
-                 phases: Dict[str, float]) -> None:
+                 phases: Dict[str, float]) -> _Outcome:
         """Fall back to the sequential fenwick reference path.
 
         Called when an accelerated path (numpy engine, sharded pipeline)
@@ -328,14 +328,13 @@ class AnalysisSession:
         on the fenwick engine and re-runs sequentially; the merged state
         stays byte-identical, so writing it through under the original
         cache key is safe.  The failure is recorded in :attr:`fallback`,
-        the run manifest, and the ``resil.fallbacks`` counter.
+        the run manifest, and the ``resil.fallbacks`` counter.  Returns
+        the sequential run's ``(None, stats)``.
         """
         failure = WorkerFailure.from_exception(exc)
         came_from = self.engine
         if self.shards > 1:
             came_from += f"+shards={self.shards}"
-        if self.trace_store is not None:
-            came_from += "+spill"
         logger.warning("%s: %s path failed (%s); falling back to the "
                        "sequential fenwick engine", self.program.name,
                        came_from, failure.summary)
@@ -346,85 +345,82 @@ class AnalysisSession:
                                       engine="fenwick")
         if self.sim is not None:
             self.sim = HierarchySim(self.config)
-        self.stats = None
         t0 = time.perf_counter()
         with _trace.span("session.fallback", source=came_from):
-            self._run_sequential(params, phases)
+            result = self._run_sequential(params, phases)
         phases["fallback"] = time.perf_counter() - t0
+        return result
 
     def _run_sharded(self, params: Dict[str, int],
-                     phases: Dict[str, float]) -> Dict:
+                     phases: Dict[str, float]) -> _Outcome:
         """Record once, analyze K time shards, merge byte-identically.
 
-        The merged state matches a sequential run of any engine exactly,
-        so it is stored under the same cache key the sequential path
-        uses — sharded and unsharded runs share cache entries.  Per-shard
-        partial results are additionally cached under shard-count-scoped
-        keys, so a re-run with the same K resumes from partials even if
-        the merged entry is missing.
+        The recording spills to a columnar trace store
+        (:mod:`repro.core.tracestore`) in a private temporary directory
+        under ``$TMPDIR``; the shards replay mmap'd file ranges of it,
+        and the directory is removed however the run ends — success,
+        a failure the caller degrades, a deadline or SIGTERM (which
+        :func:`~repro.tools.resilience.term_unwinds` turns into
+        ``SystemExit`` while the store exists).
 
-        With :attr:`trace_store` set, the recording spills to a columnar
-        on-disk store (:mod:`repro.core.tracestore`) and the shards
-        replay mmap'd file ranges instead of pickled op lists; the
-        partial keys are then derived from the trace's content digest,
-        so any program that records identical bytes shares them.
+        The merged state matches a sequential run of any engine exactly,
+        so ``run()`` stores it under the same cache key the sequential
+        path uses — sharded and unsharded runs share cache entries.
+        Per-shard partial results are additionally cached under keys
+        derived from the trace's content digest and the shard count, so
+        a re-run with the same K resumes from partials even if the
+        merged entry is missing.  Returns ``(state, stats)``.
         """
         from repro.core.shard import (
-            merge_shard_results, record_trace, run_shards, split_trace,
+            merge_shard_results, record_trace, run_shards,
         )
-        t0 = time.perf_counter()
-        with _trace.span("shard.record", program=self.program.name) as rsp:
-            if self.trace_store is not None:
-                from repro.core.tracestore import record_spilled
-                trace, self.stats = record_spilled(
-                    self.program, self.trace_store, batch=self.batch,
-                    spill_mb=self.spill_mb, **params)
-                self.trace_path = trace.path
-            else:
-                trace, self.stats = record_trace(
-                    self.program, batch=self.batch, **params)
-            rsp.set(accesses=trace.accesses)
-        phases["record"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        grans = self.config.granularities()
-        with _trace.span("shard.split", shards=self.shards):
-            slices = split_trace(trace, self.shards)
-        results = [None] * len(slices)
-        shard_keys: List[Optional[str]] = [None] * len(slices)
-        if self.cache is not None:
-            for sl in slices:
-                if self.trace_store is not None:
+        from repro.core.tracestore import split_stored_trace
+        with term_unwinds(), \
+                tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+            t0 = time.perf_counter()
+            with _trace.span("shard.record",
+                             program=self.program.name) as rsp:
+                trace, stats = record_trace(self.program, tmp,
+                                            batch=self.batch, **params)
+                rsp.set(accesses=trace.accesses)
+            phases["record"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            grans = self.config.granularities()
+            with _trace.span("shard.split", shards=self.shards):
+                slices = split_stored_trace(trace, self.shards)
+            results = [None] * len(slices)
+            shard_keys: List[Optional[str]] = [None] * len(slices)
+            if self.cache is not None:
+                for sl in slices:
                     skey = self.cache.trace_shard_key_for(
                         trace.digest, self.config, len(slices), sl.index)
-                else:
-                    skey = self.cache.shard_key_for(
-                        self.program, params, self.config, self.miss_model,
-                        self.shards, sl.index)
-                shard_keys[sl.index] = skey
-                results[sl.index] = self.cache.get(skey)
-        todo = [sl for sl in slices if results[sl.index] is None]
+                    shard_keys[sl.index] = skey
+                    results[sl.index] = self.cache.get(skey)
+            todo = [sl for sl in slices if results[sl.index] is None]
 
-        def keep(res) -> None:
-            # cached as each shard finishes, so a run that fails later
-            # (dead worker, deadline) leaves its finished partials behind
-            results[res.index] = res
-            skey = shard_keys[res.index]
-            if skey is not None:
-                metrics, res.metrics = res.metrics, None
-                self.cache.put(skey, res)
-                res.metrics = metrics
+            def keep(res) -> None:
+                # cached as each shard finishes, so a run that fails
+                # later (dead worker, deadline) leaves its finished
+                # partials behind
+                results[res.index] = res
+                skey = shard_keys[res.index]
+                if skey is not None:
+                    metrics, res.metrics = res.metrics, None
+                    self.cache.put(skey, res)
+                    res.metrics = metrics
 
-        if todo:
-            run_shards(todo, grans, jobs=self.shard_jobs, on_result=keep)
-        phases["shard_analyze"] = time.perf_counter() - t0
+            if todo:
+                run_shards(todo, grans, jobs=self.shard_jobs,
+                           on_result=keep)
+            phases["shard_analyze"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         with _trace.span("shard.merge", shards=len(results)):
             state = merge_shard_results(results, grans, trace.accesses)
         self.analyzer.load_state(state)
         phases["shard_merge"] = time.perf_counter() - t0
         logger.info("%s analyzed across %d shards: %d accesses",
-                    self.program.name, len(results), self.stats.accesses)
-        return state
+                    self.program.name, len(results), stats.accesses)
+        return state, stats
 
     def _build_manifest(self, params: Dict[str, int],
                         phases: Dict[str, float], obs_before) -> None:

@@ -84,12 +84,6 @@ class SweepTask:
     #: ``repro analyze --shards`` does; measure mode rejects it (the
     #: simulator's LRU state is order-dependent).
     shards: int = 1
-    #: directory for spilled columnar trace stores (analyze mode): the
-    #: unit's session records once into a store and its shards replay
-    #: mmap'd slices of it
-    trace_dir: Optional[str] = None
-    #: in-memory spill buffer bound (MB) for the trace-store recording
-    spill_mb: Optional[float] = None
     #: closed-form spec ``{"workload": name, "params": {...}}`` (optional
     #: ``samples``) for static analyze tasks.  run_sweep groups tasks
     #: sharing a kernel shape, derives once parent-side (sampling on the
@@ -192,8 +186,6 @@ def _execute_task(task: SweepTask,
                               miss_model=task.miss_model, engine=task.engine,
                               cache=cache, batch=task.batch,
                               shards=task.shards, shard_jobs=shard_jobs,
-                              trace_store=task.trace_dir,
-                              spill_mb=task.spill_mb,
                               closed_form=bool(task.closed_form),
                               closed_form_spec=cf_spec or None,
                               derivation=derivation)

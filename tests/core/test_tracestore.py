@@ -1,24 +1,28 @@
 """Unit tests for the spillable columnar trace store.
 
 Writer spill bounds, digest stability across flush placement, the
-on-disk format guards, slice geometry against the in-memory splitter,
-dedup recording, and the ``trace.*`` observability counters.  Merged
-byte-identity of spilled sharded analysis against the sequential
-engines lives in ``tests/integration/test_shard_equivalence``.
+on-disk format guards, replay fidelity against the recorder's own op
+stream, cleanup of a failed recording, and the ``trace.*``
+observability counters.  Cut semantics live in ``tests/core/test_shard``;
+merged byte-identity of sharded analysis against the sequential engines
+lives in ``tests/integration/test_shard_equivalence``.
 """
 
 import json
 import os
+import tempfile
+from types import SimpleNamespace
 
 import pytest
 
 from repro.apps.kernels import stream_triad
 from repro.apps.sweep3d import SweepParams, build_original
-from repro.core.shard import record_trace, split_trace
+from repro.core.shard import analyze_sharded, record_trace
 from repro.core.tracestore import (
     TRACESTORE_VERSION, StoredTrace, TraceStore, TraceStoreWriter,
-    load_trace, record_spilled, replay_slice, split_stored_trace,
+    load_trace, replay_slice, split_stored_trace,
 )
+from tests.helpers import OpCollector
 
 
 def _build():
@@ -27,7 +31,7 @@ def _build():
 
 class TestWriter:
     def test_roundtrip_meta(self, tmp_path):
-        stored, stats = record_trace(_build(), spill=str(tmp_path / "t"))
+        stored, stats = record_trace(_build(), str(tmp_path / "t"))
         assert isinstance(stored, StoredTrace)
         assert stored.accesses == stats.accesses > 0
         assert stored.nops > 0
@@ -39,7 +43,7 @@ class TestWriter:
 
     def test_forced_spill_bounds_buffer(self, tmp_path):
         writer = TraceStoreWriter(str(tmp_path / "t"), spill_mb=0.001)
-        record_trace(_build(), spill=writer)
+        record_trace(_build(), writer)
         assert writer.flushes > 1
         assert writer.spilled_bytes > 0
         # the buffer never held the whole trace...
@@ -54,19 +58,19 @@ class TestWriter:
         assert on_disk == writer.spilled_bytes
 
     def test_digest_independent_of_flush_boundaries(self, tmp_path):
-        tight, _ = record_trace(_build(), spill=str(tmp_path / "a"),
-                                spill_mb=0.001)
-        loose, _ = record_trace(_build(), spill=str(tmp_path / "b"))
+        tight, _ = record_trace(
+            _build(), TraceStoreWriter(str(tmp_path / "a"), spill_mb=0.001))
+        loose, _ = record_trace(_build(), str(tmp_path / "b"))
         assert tight.digest == loose.digest
         other, _ = record_trace(
             build_original(SweepParams(n=5, mm=3, nm=2, noct=1)),
-            spill=str(tmp_path / "c"))
+            str(tmp_path / "c"))
         assert other.digest != tight.digest
 
     def test_rows_stay_symbolic_on_disk(self, tmp_path):
         # the triad's affine loops must not expand to per-access records
         stored, stats = record_trace(stream_triad(512, 2),
-                                     spill=str(tmp_path / "t"))
+                                     str(tmp_path / "t"))
         store = TraceStore(stored.path)
         assert len(store.batch_addrs) < stats.accesses
         assert len(store.rows_bases) > 0
@@ -98,7 +102,7 @@ class TestLoadGuards:
             load_trace(str(d))
 
     def test_rejects_version_mismatch(self, tmp_path):
-        stored, _ = record_trace(_build(), spill=str(tmp_path / "t"))
+        stored, _ = record_trace(_build(), str(tmp_path / "t"))
         meta_path = os.path.join(stored.path, "meta.json")
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -113,79 +117,47 @@ class TestLoadGuards:
             load_trace(str(tmp_path / "absent"))
 
 
+class _TeeWriter(TraceStoreWriter):
+    """A writer that also keeps every op the recorder handed it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def add_op(self, op):
+        self.seen.append(op)
+        super().add_op(op)
+
+
 class TestSplitGeometry:
-    @pytest.mark.parametrize("k", [1, 2, 5, 9])
-    def test_matches_in_memory_splitter(self, tmp_path, k):
-        mem, _ = record_trace(_build())
-        stored, _ = record_trace(_build(), spill=str(tmp_path / "t"))
-        ref = split_trace(mem, k)
-        got = split_stored_trace(stored, k)
-        assert [(sl.index, sl.start, sl.length, sl.seed_sids,
-                 sl.seed_clocks) for sl in ref] == \
-               [(sl.index, sl.start, sl.length, sl.seed_sids,
-                 sl.seed_clocks) for sl in got]
-        assert sum(sl.length for sl in got) == stored.accesses
-
-    def test_split_trace_dispatches_on_stored_handles(self, tmp_path):
-        stored, _ = record_trace(_build(), spill=str(tmp_path / "t"))
-        slices = split_trace(stored, 3)
-        assert all(sl.path == stored.path for sl in slices)
-
     def test_replay_reproduces_recorder_stream(self, tmp_path):
-        mem, _ = record_trace(stream_triad(257, 3))
-        stored, _ = record_trace(stream_triad(257, 3),
-                                 spill=str(tmp_path / "t"),
-                                 spill_mb=0.001)
-        (ref,) = split_trace(mem, 1)
+        # replaying the single slice of a store written under a 1 KB
+        # buffer must hand back exactly the ops the recorder produced
+        writer = _TeeWriter(str(tmp_path / "t"), spill_mb=0.001)
+        stored, _ = record_trace(stream_triad(257, 3), writer)
         (sl,) = split_stored_trace(stored, 1)
-
-        class Collect:
-            def __init__(self):
-                self.ops = []
-
-            def enter_scope(self, sid):
-                self.ops.append(("enter", sid))
-
-            def exit_scope(self, sid):
-                self.ops.append(("exit", sid))
-
-            def access_batch(self, rids, addrs, stores, period=0):
-                self.ops.append(("batch", list(rids), list(addrs),
-                                 [bool(s) for s in stores], period))
-
-            def access_rows(self, rids, stores, bases, strides, m):
-                self.ops.append(("rows", tuple(rids),
-                                 tuple(bool(s) for s in stores),
-                                 tuple(bases), tuple(strides), m))
-
-        got = Collect()
+        got = OpCollector()
         replay_slice(TraceStore(stored.path), sl, got)
         want = [("batch", list(op[1]), list(op[2]),
                  [bool(s) for s in op[3]], op[4]) if op[0] == "batch"
-                else op for op in ref.ops]
+                else op for op in writer.seen]
         assert got.ops == want
 
 
 class TestRecordSpilled:
-    def test_digest_named_store_deduplicates(self, tmp_path):
-        first, _ = record_spilled(_build(), str(tmp_path))
-        second, _ = record_spilled(_build(), str(tmp_path))
-        assert first.path == second.path
-        assert os.path.basename(first.path) == first.digest[:16]
-        assert os.listdir(str(tmp_path)) == [first.digest[:16]]
-
-    def test_failed_recording_leaves_no_store(self, tmp_path):
-        # not a Program: the executor blows up mid-recording, and the
-        # partially written temp store must be removed
+    def test_failed_recording_leaves_no_store(self, tmp_path, monkeypatch):
+        # not a Program: the executor blows up after the writer created
+        # its column files, and the private store must still be removed
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(AttributeError):
-            record_spilled(object(), str(tmp_path))
+            analyze_sharded(SimpleNamespace(name="boom"), 2)
         assert os.listdir(str(tmp_path)) == []
 
 
 class TestObsCounters:
     def test_trace_counters_tick(self, obs_on, tmp_path):
-        stored, _ = record_spilled(_build(), str(tmp_path),
-                                   spill_mb=0.001)
+        stored, _ = record_trace(
+            _build(), TraceStoreWriter(str(tmp_path / "t"), spill_mb=0.001))
         store = TraceStore(stored.path)
         for sl in split_stored_trace(store, 2):
             replay_slice(store, sl, _NullHandler())

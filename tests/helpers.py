@@ -85,3 +85,46 @@ def collect_trace(prog: Program) -> List[Tuple[int, int, bool]]:
     rec = TraceRecorder()
     run_program(prog, rec)
     return [(e[1], e[2], e[3]) for e in rec.accesses()]
+
+
+class OpCollector:
+    """Event handler that records the replayed op stream as plain tuples.
+
+    Stores arrive from a trace store as 0/1 ints; they are normalized to
+    bools so the ops compare equal to recorder-vocabulary tuples.
+    """
+
+    def __init__(self) -> None:
+        self.ops: List[tuple] = []
+
+    def enter_scope(self, sid):
+        self.ops.append(("enter", sid))
+
+    def exit_scope(self, sid):
+        self.ops.append(("exit", sid))
+
+    def access_batch(self, rids, addrs, stores, period=0):
+        self.ops.append(("batch", list(rids), list(addrs),
+                         [bool(s) for s in stores], period))
+
+    def access_rows(self, rids, stores, bases, strides, m):
+        self.ops.append(("rows", tuple(rids),
+                         tuple(bool(s) for s in stores), tuple(bases),
+                         tuple(strides), m))
+
+
+def write_store(path: str, ops):
+    """Write recorder-vocabulary ``ops`` into a trace store at ``path``."""
+    from repro.core.tracestore import TraceStoreWriter
+    writer = TraceStoreWriter(path)
+    for op in ops:
+        writer.add_op(op)
+    return writer.finalize()
+
+
+def slice_ops(sl) -> List[tuple]:
+    """The op stream one stored shard slice replays."""
+    from repro.core.tracestore import TraceStore, replay_slice
+    got = OpCollector()
+    replay_slice(TraceStore(sl.path), sl, got)
+    return got.ops

@@ -12,6 +12,10 @@ session, cache, sweep driver, and CLI.
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -23,11 +27,15 @@ from repro.core import ReuseAnalyzer
 from repro.core.shard import (
     analyze_sharded, analyze_trace_sharded, record_trace,
 )
+from repro.core.tracestore import TraceStoreWriter
 from repro.lang import BatchExecutor
 from repro.model import MachineConfig
 
 CFG = MachineConfig.scaled_itanium2()
 GRANS = CFG.granularities()
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "src")
 
 BUILDERS = {
     "sweep3d": lambda: build_original(SweepParams(n=6, mm=4, nm=2,
@@ -38,14 +46,19 @@ BUILDERS = {
 }
 
 
+def _leftover_traces(tmpdir):
+    return sorted(p.name for p in tmpdir.glob("repro-trace-*"))
+
+
 @pytest.fixture(scope="module", params=sorted(BUILDERS),
                 ids=sorted(BUILDERS))
-def workload(request):
+def workload(request, tmp_path_factory):
     """(recorded trace, pickled sequential reference state) per app."""
     build = BUILDERS[request.param]
     analyzer = ReuseAnalyzer(GRANS, engine="numpy")
     stats = BatchExecutor(build(), analyzer).run()
-    trace, rec_stats = record_trace(build())
+    trace, rec_stats = record_trace(
+        build(), str(tmp_path_factory.mktemp(request.param)))
     assert vars(rec_stats) == vars(stats)
     return trace, pickle.dumps(analyzer.dump_state())
 
@@ -63,12 +76,12 @@ def _sequential_ref(build):
     return pickle.dumps(analyzer.dump_state())
 
 
-def test_boundaries_inside_run_compressed_regions():
+def test_boundaries_inside_run_compressed_regions(tmp_path):
     # The triad is one long affine stream: with 7 shards every cut lands
     # mid-row inside regions the numpy engine run-compresses, forcing the
     # partial-row / whole-rows / partial-row split and merge.
     build = lambda: stream_triad(257, 3)
-    trace, _ = record_trace(build())
+    trace, _ = record_trace(build(), str(tmp_path / "t"))
     state = analyze_trace_sharded(trace, GRANS, 7)
     assert pickle.dumps(state) == _sequential_ref(build)
 
@@ -95,20 +108,24 @@ def test_scalar_executor_recording():
     assert pickle.dumps(state) == _sequential_ref(build)
 
 
+def _spilled(build, tmp_path):
+    """Record under a 1 KB spill buffer: many flushes, same bytes."""
+    return record_trace(build(), TraceStoreWriter(str(tmp_path / "t"),
+                                                  spill_mb=0.001))
+
+
 class TestSpilledEquivalence:
-    """The stored-trace path meets the same byte-identity bar.
+    """A store written across many flushes meets the same bar.
 
     Traces are force-spilled with a 1 KB buffer so every workload is
-    written across many flushes and analyzed off the mmap, never from
-    the recorder's memory.
+    written across many flushes before the shards replay it.
     """
 
     @pytest.mark.parametrize("app", sorted(BUILDERS))
     @pytest.mark.parametrize("k", [2, 5])
     def test_forced_spill_byte_identical(self, app, k, tmp_path):
         build = BUILDERS[app]
-        stored, _ = record_trace(build(), spill=str(tmp_path / "t"),
-                                 spill_mb=0.001)
+        stored, _ = _spilled(build, tmp_path)
         state = analyze_trace_sharded(stored, GRANS, k)
         assert pickle.dumps(state) == _sequential_ref(build)
 
@@ -116,8 +133,7 @@ class TestSpilledEquivalence:
         # 7 shards over the triad put every cut mid-affine-row; on the
         # stored path the partial rows materialize straight off the mmap
         build = lambda: stream_triad(257, 3)
-        stored, _ = record_trace(build(), spill=str(tmp_path / "t"),
-                                 spill_mb=0.001)
+        stored, _ = _spilled(build, tmp_path)
         state = analyze_trace_sharded(stored, GRANS, 7)
         assert pickle.dumps(state) == _sequential_ref(build)
 
@@ -125,8 +141,7 @@ class TestSpilledEquivalence:
         # gather batches are run-compressed periodic regions; cuts land
         # mid-region and the period must drop on the partial pieces
         build = lambda: irregular_gather(512, 2048)
-        stored, _ = record_trace(build(), spill=str(tmp_path / "t"),
-                                 spill_mb=0.001)
+        stored, _ = _spilled(build, tmp_path)
         state = analyze_trace_sharded(stored, GRANS, 5)
         assert pickle.dumps(state) == _sequential_ref(build)
 
@@ -175,40 +190,64 @@ class TestSessionIntegration:
         assert cache.hits == hits_before + 3
         assert pickle.dumps(again.analyzer.dump_state()) == ref
 
-    def test_session_trace_store_matches_sequential(self, tmp_path):
+    def test_session_trace_store_matches_sequential(self, tmp_path,
+                                                     trace_tmpdir):
+        """A sharded session records into a private store under $TMPDIR
+        and removes it when the run ends."""
+        from repro.core import tracestore
         from repro.tools.cache import AnalysisCache
         from repro.tools.session import AnalysisSession
         build = BUILDERS["sweep3d"]
         ref = _sequential_ref(build)
+        seen = []
+        real_split = tracestore.split_stored_trace
+
+        def spy(trace, k):
+            seen.append(_leftover_traces(trace_tmpdir))
+            return real_split(trace, k)
+
         cache = AnalysisCache(str(tmp_path / "cache"))
-        sh = AnalysisSession(build(), shards=3, cache=cache,
-                             trace_store=str(tmp_path / "ts"),
-                             spill_mb=0.01)
-        sh.run()
+        sh = AnalysisSession(build(), shards=3, cache=cache)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracestore, "split_stored_trace", spy)
+            sh.run()
         assert pickle.dumps(sh.analyzer.dump_state()) == ref
-        # the store landed on disk, digest-named
-        import os
-        assert os.listdir(str(tmp_path / "ts"))
+        # the store lived under $TMPDIR while the shards ran...
+        assert len(seen) == 1 and len(seen[0]) == 1
+        # ...and is gone now
+        assert _leftover_traces(trace_tmpdir) == []
         # merged entry still lives under the sequential key
         seq = AnalysisSession(build(), cache=cache)
         seq.run()
         assert seq.from_cache
         assert pickle.dumps(seq.analyzer.dump_state()) == ref
 
-    def test_trace_store_without_sharding(self, tmp_path):
+    def test_trace_store_without_sharding(self, trace_tmpdir, monkeypatch):
+        """An unsharded session executes straight into its engine and
+        never records a trace store."""
+        from repro.core import shard
         from repro.tools.session import AnalysisSession
+
+        def boom(*_a, **_k):
+            raise AssertionError("unsharded run recorded a trace")
+
+        monkeypatch.setattr(shard, "record_trace", boom)
         build = BUILDERS["sweep3d"]
-        session = AnalysisSession(build(), trace_store=str(tmp_path),
-                                  spill_mb=0.01)
+        session = AnalysisSession(build(), engine="numpy")
         session.run()
+        assert session.fallback is None
         assert pickle.dumps(session.analyzer.dump_state()) == \
             _sequential_ref(build)
+        assert list(trace_tmpdir.iterdir()) == []
 
     def test_trace_store_rejects_simulation(self):
+        """Where the store goes and how it spills are not session
+        options: $TMPDIR and the default spill buffer decide."""
         from repro.tools.session import AnalysisSession
-        with pytest.raises(ValueError):
-            AnalysisSession(BUILDERS["sweep3d"](), simulate=True,
-                            trace_store="/tmp/nope")
+        for knob in ({"trace_store": "/tmp/nope"}, {"spill_mb": 1.0}):
+            with pytest.raises(TypeError):
+                AnalysisSession(BUILDERS["sweep3d"](), simulate=True,
+                                **knob)
 
     def test_session_rejects_sharded_simulation(self):
         from repro.tools.session import AnalysisSession
@@ -245,32 +284,22 @@ class TestSweepIntegration:
         assert all(out.from_cache for out in again)
         assert pickle.dumps(again[1].state) == pickle.dumps(plain.state)
 
-    def test_trace_dir_task_matches_plain(self, tmp_path):
-        import os
+    def test_trace_dir_task_matches_plain(self, tmp_path, trace_tmpdir):
+        """A jobs=2 sharded sweep records each task into a private store
+        under $TMPDIR and leaves none behind."""
         from repro.tools.sweep import SweepTask, run_sweep
-        params = SweepParams(n=6, mm=4, nm=2, noct=1)
-        tasks = [
-            SweepTask(key="plain", builder=build_original, args=(params,),
-                      cache_dir=str(tmp_path / "cache")),
-            # its own cache: sharded and plain runs share merged entries,
-            # so a shared cache would serve this task without recording
-            SweepTask(key="spilled", builder=build_original,
-                      args=(params,), shards=3,
-                      cache_dir=str(tmp_path / "cache-spilled"),
-                      trace_dir=str(tmp_path / "ts"), spill_mb=0.01),
-        ]
-        plain, spilled = run_sweep(tasks, jobs=1)
-        assert plain.error is None and spilled.error is None
-        assert not spilled.from_cache
-        assert pickle.dumps(spilled.state) == pickle.dumps(plain.state)
-        assert spilled.stats.accesses == plain.stats.accesses
-        # the unit's session recorded once: exactly one digest-named store
-        assert len(os.listdir(str(tmp_path / "ts"))) == 1
-        # the merged state was written through: a pooled re-run is pure
-        # cache hits, same bytes
-        again = run_sweep(tasks, jobs=2)
-        assert all(out.from_cache for out in again)
-        assert pickle.dumps(again[1].state) == pickle.dumps(plain.state)
+        grid = [SweepParams(n=n, mm=4, nm=2, noct=1) for n in (5, 6)]
+        plain = run_sweep([SweepTask(key=p.n, builder=build_original,
+                                     args=(p,)) for p in grid])
+        sharded = run_sweep([SweepTask(key=p.n, builder=build_original,
+                                       args=(p,), shards=3)
+                             for p in grid], jobs=2)
+        assert [out.error for out in sharded] == [None, None]
+        assert [pickle.dumps(out.state) for out in sharded] == \
+            [pickle.dumps(out.state) for out in plain]
+        assert [out.stats.accesses for out in sharded] == \
+            [out.stats.accesses for out in plain]
+        assert _leftover_traces(trace_tmpdir) == []
 
     def test_sharded_task_writes_through_its_cache(self, tmp_path):
         from dataclasses import replace
@@ -351,15 +380,48 @@ class TestCLIIntegration:
         assert "3 time shards" in out.err
         assert "predicted misses" in out.out
 
-    def test_analyze_with_spill(self, capsys, tmp_path, monkeypatch):
-        import tempfile
-        from repro.cli import main
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        assert main(["analyze", "fig1", "--shards", "3",
-                     "--spill-mb", "1", "--no-cache"]) == 0
-        out = capsys.readouterr()
-        assert "3 time shards from a spilled trace" in out.err
-        assert "predicted misses" in out.out
+    @staticmethod
+    def _repro(argv, tmpdir):
+        env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=_SRC)
+        return subprocess.Popen([sys.executable, "-m", "repro", *argv],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+
+    def test_analyze_with_spill(self, trace_tmpdir):
+        """``repro analyze --shards`` spills its recording to a private
+        store under $TMPDIR and removes it before exiting."""
+        proc = self._repro(["analyze", "fig1", "--shards", "2",
+                            "--no-cache"], trace_tmpdir)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert "2 time shards" in err
+        assert "predicted misses" in out
+        assert _leftover_traces(trace_tmpdir) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "sweep3d", "--mesh", "16", "--engine", "numpy",
+         "--no-cache"],
+        # an inline sweep runs its sharded session in the CLI process
+        ["sweep", "sweep3d", "--mesh", "16", "--engine", "numpy",
+         "--jobs", "1"],
+    ], ids=["analyze", "sweep"])
+    def test_sigterm_leaves_no_trace(self, trace_tmpdir, argv):
+        """SIGTERM mid-run unwinds through the store's cleanup."""
+        proc = self._repro(argv + ["--shards", "2"], trace_tmpdir)
+        try:
+            give_up = time.monotonic() + 60
+            while not _leftover_traces(trace_tmpdir):
+                assert proc.poll() is None, "run ended before recording"
+                assert time.monotonic() < give_up
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert _leftover_traces(trace_tmpdir) == []
 
     def test_sharded_manifest_renders(self, obs_on, tmp_path):
         from repro.obs.manifest import RunManifest

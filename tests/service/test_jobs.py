@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.service.jobs import (
-    ARTIFACT_KINDS, JobSpec, JobStore, SpecError, live_trace_refs,
+    ARTIFACT_KINDS, RETIRED_SPEC_KEYS, JobSpec, JobStore, SpecError,
 )
 
 
@@ -25,7 +25,7 @@ class TestJobSpec:
         assert spec.engine == "fenwick"
         assert spec.shards == 1
         assert spec.artifacts == ("patterns", "manifest")
-        assert not spec.use_trace_store
+        assert not set(RETIRED_SPEC_KEYS) & set(spec.to_dict())
 
     @pytest.mark.parametrize("body,fragment", [
         ({}, "workload"),
@@ -38,16 +38,25 @@ class TestJobSpec:
         ({"workload": "sweep3d", "artifacts": []}, "artifacts"),
         ({"workload": "sweep3d", "artifacts": ["gold"]}, "artifacts"),
         ({"workload": "sweep3d", "surprise": 1}, "unknown spec fields"),
-        ({"workload": "sweep3d", "spill_mb": "big"}, "spill_mb"),
+        # retired fields: a well-formed value is still an unknown field
+        ({"workload": "sweep3d", "spill_mb": 1}, "spill_mb"),
         ({"workload": "sweep3d", "engine": "static", "shards": 2},
          "no trace to shard"),
-        ({"workload": "sweep3d", "engine": "static",
-          "use_trace_store": True}, "no trace to spill"),
+        ({"workload": "sweep3d", "use_trace_store": True},
+         "unknown spec fields: use_trace_store"),
         ("not a dict", "object"),
     ])
     def test_rejects(self, body, fragment):
         with pytest.raises(SpecError, match=fragment):
             JobSpec.from_dict(body)
+
+    @pytest.mark.parametrize("name,value", [("use_trace_store", True),
+                                            ("spill_mb", 1.0)])
+    def test_retired_fields_rejected(self, name, value):
+        # submissions stay strict; only journaled specs drop these keys
+        with pytest.raises(SpecError,
+                           match=f"unknown spec fields: {name}$"):
+            JobSpec.from_dict({"workload": "fig1", name: value})
 
     def test_static_engine_accepted(self):
         spec = JobSpec.from_dict({"workload": "sweep3d",
@@ -152,6 +161,32 @@ class TestJobStore:
         store = JobStore(str(tmp_path))
         assert store.recover() == []
 
+    def test_recover_accepts_retired_spec_fields(self, tmp_path):
+        # spec.json as written before sharded jobs always recorded into
+        # a private trace store: both retired keys present
+        store = JobStore(str(tmp_path))
+        queued = store.submit("t", JobSpec.from_dict(
+            {"workload": "fig1", "shards": 2}))
+        done = store.submit("t", self._spec())
+        store.mark_started(done.id)
+        store.mark_done(done.id, {"L2": 2.0}, [])
+        for job, old in ((queued, {"use_trace_store": True,
+                                   "spill_mb": 1.0}),
+                         (done, {"use_trace_store": False,
+                                 "spill_mb": None})):
+            with open(store.spec_path(job.id), encoding="utf-8") as fh:
+                data = json.load(fh)
+            data.update(old)
+            with open(store.spec_path(job.id), "w",
+                      encoding="utf-8") as fh:
+                json.dump(data, fh)
+
+        fresh = JobStore(str(tmp_path))
+        assert [j.id for j in fresh.recover()] == [queued.id]
+        assert fresh.jobs[queued.id].spec == queued.spec
+        assert fresh.jobs[done.id].state == "done"
+        assert JobSpec.load(store.spec_path(queued.id)) == queued.spec
+
     def test_recover_drops_job_with_unreadable_spec(self, tmp_path):
         store = JobStore(str(tmp_path))
         job = store.submit("t", self._spec())
@@ -159,25 +194,3 @@ class TestJobStore:
         fresh = JobStore(str(tmp_path))
         assert fresh.recover() == []
         assert job.id not in fresh.jobs
-
-
-class TestLiveTraceRefs:
-    def test_collects_only_live_jobs(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        spec = JobSpec.from_dict({"workload": "fig1",
-                                  "use_trace_store": True})
-        live = store.submit("t", spec)
-        dead = store.submit("t", spec)
-        store.mark_started(live.id)
-        store.mark_started(dead.id)
-        store.mark_done(dead.id, {}, [])
-        from repro.tools.atomicio import atomic_write_text
-        atomic_write_text(store.status_path(live.id), json.dumps(
-            {"phase": "analyze", "trace_path": "/traces/abc123"}))
-        atomic_write_text(store.status_path(dead.id), json.dumps(
-            {"phase": "artifacts", "trace_path": "/traces/dead99"}))
-
-        assert live_trace_refs(str(tmp_path)) == ["/traces/abc123"]
-
-    def test_missing_state_dir(self, tmp_path):
-        assert live_trace_refs(str(tmp_path / "absent")) == []

@@ -288,6 +288,41 @@ class TestRestartResume:
             counters = client.metrics()["counters"]
             assert counters["svc.resumed"] >= 1
 
+    def test_pre_upgrade_jobs_recover_and_run(self, tmp_path,
+                                              scoped_metrics):
+        """Jobs journaled with the retired trace-store spec fields
+        recover after an upgrade; the queued one runs to done, while a
+        new submission carrying those fields still gets a 400."""
+        import json
+        from repro.service.client import ServiceError
+        from repro.service.jobs import JobSpec, JobStore
+        state_dir = str(tmp_path)
+        store = JobStore(state_dir)
+        done = store.submit("default", JobSpec.from_dict(dict(TINY)))
+        store.mark_started(done.id)
+        store.mark_done(done.id, {"L2": 1.0}, [])
+        queued = store.submit("default", JobSpec.from_dict(
+            dict(TINY, shards=2)))
+        for job_id, use_store in ((done.id, False), (queued.id, True)):
+            path = store.spec_path(job_id)
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            data.update(use_trace_store=use_store, spill_mb=None)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+
+        with ServiceThread(ServiceConfig(state_dir=state_dir,
+                                         workers=1)) as svc:
+            client = _client(svc)
+            assert client.status(done.id)["state"] == "done"
+            ran = client.wait(queued.id, timeout=120)
+            assert ran["state"] == "done"
+            assert ran["totals"]["L2"] > 0
+            with pytest.raises(ServiceError) as err:
+                client.submit(dict(TINY, use_trace_store=True))
+            assert err.value.status == 400
+            assert "unknown spec fields" in err.value.message
+
     def test_service_json_discovery(self, tmp_path, scoped_metrics):
         config = ServiceConfig(state_dir=str(tmp_path))
         with ServiceThread(config) as svc:

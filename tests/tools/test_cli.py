@@ -43,6 +43,11 @@ class TestParser:
         ["measure", "sweep3d", "--spill-mb", "1"],
         ["analyze", "fig1", "--engine", "treap"],
         ["sweep", "sweep3d", "--engine", "treap"],
+        ["analyze", "fig1", "--trace-dir", "d"],
+        ["analyze", "fig1", "--spill-mb", "1"],
+        ["sweep", "sweep3d", "--trace-dir", "d"],
+        ["sweep", "sweep3d", "--spill-mb", "1"],
+        ["trace", "gc", "--trace-dir", "d", "--max-gb", "1"],
     ])
     def test_retired_options_rejected(self, argv):
         with pytest.raises(SystemExit):

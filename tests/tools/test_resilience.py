@@ -11,6 +11,7 @@ from repro.apps.sweep3d import SweepParams, build_original
 from repro.tools.resilience import (
     DEFAULT_POLICY, DeadlineExceeded, FailureKind, RetryPolicy,
     SweepCheckpoint, WorkerFailure, classify, deadline, retry_call,
+    term_unwinds,
 )
 from repro.tools.sweep import SweepTask
 
@@ -131,6 +132,34 @@ class TestDeadline:
         warned = [r for r in caplog.records
                   if "cannot be enforced" in r.getMessage()]
         assert len(warned) == 1  # once per process, not per unit
+
+
+class TestTermUnwinds:
+    def test_sigterm_raises_inside_and_default_returns(self):
+        import signal
+        previous = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                with term_unwinds():
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    time.sleep(5)  # the handler raises before this ends
+            assert exc.value.code == 128 + signal.SIGTERM
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_own_handler_kept(self):
+        import signal
+        seen = []
+        previous = signal.signal(signal.SIGTERM,
+                                 lambda *_a: seen.append("own"))
+        try:
+            with term_unwinds():
+                os.kill(os.getpid(), signal.SIGTERM)
+            assert seen == ["own"]
+            assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestRetryCall:

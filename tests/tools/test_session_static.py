@@ -84,7 +84,8 @@ class TestStaticGuards:
             AnalysisSession(stream_triad(32, 1), engine="static", shards=2)
 
     def test_trace_store_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="trace"):
+        # no session records into a caller-chosen store any more
+        with pytest.raises(TypeError, match="trace_store"):
             AnalysisSession(stream_triad(32, 1), engine="static",
                             trace_store=str(tmp_path))
 

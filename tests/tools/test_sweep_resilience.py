@@ -121,9 +121,11 @@ class TestDeadlineRetry:
         assert "resil.fallbacks" not in counters
 
     def test_deadline_keeps_finished_shard_partials(self, obs_on,
-                                                    tmp_path, monkeypatch):
+                                                    tmp_path, monkeypatch,
+                                                    trace_tmpdir):
         """Shard partials are cached as each shard finishes, so a run cut
-        short by its deadline leaves them for the next attempt."""
+        short by its deadline leaves them for the next attempt (and no
+        trace store)."""
         from repro.tools.resilience import DeadlineExceeded, deadline
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a shard pool
         params = SweepParams(n=4, mm=3, nm=2, noct=1)
@@ -137,6 +139,7 @@ class TestDeadlineRetry:
             AnalysisSession(build_original(params), shards=2,
                             cache=cache).run()
         assert multiprocessing.active_children() == []
+        assert list(trace_tmpdir.glob("repro-trace-*")) == []
         faults.clear()
         before = obs_on.snapshot()["counters"].get("shard.workers", 0)
         resumed = AnalysisSession(build_original(params), shards=2,
@@ -323,7 +326,7 @@ class TestEngineFallback:
                 == pickle.dumps(clean.analyzer.dump_state()))
 
     def test_dead_shard_worker_falls_back_not_hangs(self, obs_on,
-                                                    tmp_path):
+                                                    tmp_path, trace_tmpdir):
         params = SweepParams(n=4, mm=3, nm=2, noct=1)
         clean = AnalysisSession(build_original(params))
         clean.run()
@@ -342,6 +345,7 @@ class TestEngineFallback:
         assert "s" in result
         assert degraded.fallback["from"] == "fenwick+shards=2"
         assert "BrokenProcessPool" in degraded.fallback["error"]
+        assert list(trace_tmpdir.glob("repro-trace-*")) == []
         assert (pickle.dumps(degraded.analyzer.dump_state())
                 == pickle.dumps(clean.analyzer.dump_state()))
         snap = obs_on.snapshot()
